@@ -26,11 +26,13 @@
 //! barrier waits instead of `threads × phases` thread spawns. The batch
 //! [`crate::Driver`] shares one pool across a whole scenario file. Every
 //! phase of a round is decomposed into pure per-edge or per-node passes
-//! (node-centric application, per-(node, round)-keyed RNG streams) that
-//! run through the same division-free kernels ([`crate::kernel`]) as the
-//! sequential executor, so the parallel path is **bit-identical** to the
-//! sequential one — for integer and floating-point loads alike — and
-//! results never depend on the thread count.
+//! (node-centric application, per-(node, round)-keyed RNG streams), and
+//! the round body exists once ([`crate::scheme_kernel`]): the pool runs
+//! it chunked with barriers between phases, a one-thread simulation runs
+//! it inline over the whole graph. The parallel path is therefore
+//! **bit-identical** to the one-thread one — for integer and
+//! floating-point loads alike — and results never depend on the thread
+//! count.
 
 use std::sync::Arc;
 
@@ -45,8 +47,7 @@ use crate::fault::{DivergenceWatch, FaultEvents, FaultSpec};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
 use crate::kernel::{
-    cells_f32, cells_f64, cells_i32, cells_i64, AtomicsF32, AtomicsF64, AtomicsI32, AtomicsI64,
-    KernelTables, LoadStats,
+    self, cells_f32, cells_f64, cells_i32, cells_i64, CellsF64, CellsI64, KernelTables, LoadStats,
 };
 use crate::load::{LoadEvents, LoadSpec, SteadyStats, SteadyTracker};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
@@ -55,7 +56,7 @@ use crate::pool::{JobLoads, RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scenario::MemSpec;
 use crate::scheme::Scheme;
-use crate::scheme_kernel::{RoundScratch, SchemeKernel};
+use crate::scheme_kernel::{RoundBufs, RoundScratch, SchemeKernel};
 
 /// Continuous vs discrete execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,6 +427,10 @@ pub struct Simulator<'g> {
     arc_frac: Vec<f64>,
     /// Compact twin of `arc_frac` (`mem=compact` only; empty otherwise).
     arc_frac32: Vec<f32>,
+    /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
+    /// the inline executor's apply pass (empty on the pool, whose job
+    /// keeps its own).
+    block_sums: Vec<f64>,
     /// Control-thread round scratch: framework rounding states plus
     /// random-matching generation buffers.
     scratch: RoundScratch,
@@ -543,9 +548,10 @@ impl<'g> Simulator<'g> {
         } else {
             None
         };
-        // The sequential framework path needs the arc-indexed scheduled
+        // The inline framework path needs the arc-indexed scheduled
         // scratch; the fused edge-local path and the pool do not.
-        let seq_arcs = if framework && pool.is_none() {
+        let inline = pool.is_none();
+        let seq_arcs = if framework && inline {
             graph.arc_count()
         } else {
             0
@@ -573,6 +579,7 @@ impl<'g> Simulator<'g> {
             prev_flow32: if compact { vec![0.0; m] } else { Vec::new() },
             arc_frac,
             arc_frac32,
+            block_sums: vec![0.0; if inline { kernel::dev_blocks(n) } else { 0 }],
             scratch: RoundScratch::new(),
             pool,
             round: 0,
@@ -1122,19 +1129,11 @@ impl<'g> Simulator<'g> {
         self.rounds_in_scheme = 0;
     }
 
-    /// Executes one synchronous round.
+    /// Executes one synchronous round: on the worker pool when one is
+    /// attached, inline on the calling thread otherwise. Both run the
+    /// scheme kernel's one round body.
     pub fn step(&mut self) {
         let (mem, gain) = self.scheme.coefficients(self.rounds_in_scheme);
-        if self.pool.is_some() {
-            self.step_pooled(mem, gain);
-        } else {
-            self.step_sequential(mem, gain);
-        }
-        self.round += 1;
-        self.rounds_in_scheme += 1;
-    }
-
-    fn step_sequential(&mut self, mem: f64, gain: f64) {
         let Self {
             graph,
             tables,
@@ -1144,141 +1143,94 @@ impl<'g> Simulator<'g> {
             prev_flow32,
             arc_frac,
             arc_frac32,
+            block_sums,
             scratch,
             flow_memory,
+            pool,
             round,
             min_transient,
             round_stats,
             ..
         } = self;
-        let t = &**tables;
-        // Each arm monomorphizes the generic round over its layout's
-        // buffer handles; the full-width arms compile to the exact
-        // pre-compact code (Cell wrappers are free).
-        let stats = match state {
-            State::Discrete { loads, int_flows } => scheme_kernel.run_discrete_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                *flow_memory,
-                &cells_i64(loads),
-                &cells_f64(prev_flow),
-                &cells_i64(int_flows),
-                &cells_f64(arc_frac),
-                scratch,
-            ),
-            State::Continuous { loads } => scheme_kernel.run_continuous_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                &cells_f64(loads),
-                &cells_f64(prev_flow),
-                scratch,
-            ),
-            State::DiscreteCompact { loads, int_flows } => scheme_kernel.run_discrete_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                *flow_memory,
-                &cells_i32(loads),
-                &cells_f32(prev_flow32),
-                &cells_i32(int_flows),
-                &cells_f32(arc_frac32),
-                scratch,
-            ),
-            State::ContinuousCompact { loads } => scheme_kernel.run_continuous_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                &cells_f32(loads),
-                &cells_f32(prev_flow32),
-                scratch,
-            ),
+        let (t, round) = (&**tables, *round);
+        let stats = if let Some(PoolAttachment { pool, job }) = pool {
+            let fw = job.prepare(graph, round, scratch);
+            let stats = pool.run_round(job, mem, gain, round, fw);
+            // Mirror the job's canonical state back into the
+            // accessor-visible vectors (bit-exact copies). This eager
+            // O(n + m) sync keeps every `&self` accessor valid between
+            // rounds; threshold/plateau stop conditions and observers read
+            // loads each round anyway, so a lazy dirty-flag scheme would
+            // mostly shift the cost, not remove it.
+            match state {
+                State::Discrete { loads, .. } => job.read_loads_i(loads),
+                State::Continuous { loads } => job.read_loads_f(loads),
+                State::DiscreteCompact { loads, .. } => job.read_loads_i32(loads),
+                State::ContinuousCompact { loads } => job.read_loads_f32(loads),
+            }
+            // Exactly one of the two flow memories is sized.
+            job.read_prev(prev_flow);
+            job.read_prev32(prev_flow32);
+            stats
+        } else {
+            // Each arm monomorphizes the round over its layout's `Cell`
+            // handles (the mode's unused buffers are empty); the
+            // full-width arms compile to the exact pre-compact code.
+            let block_sums = cells_f64(block_sums);
+            let memory = *flow_memory;
+            match state {
+                State::Discrete { loads, int_flows } => {
+                    let bufs = RoundBufs {
+                        loads_i: cells_i64(loads),
+                        loads_f: CellsF64(&[]),
+                        prev: cells_f64(prev_flow),
+                        arc_frac: cells_f64(arc_frac),
+                        flows: cells_i64(int_flows),
+                        block_sums,
+                    };
+                    scheme_kernel.run_inline(t, graph, mem, gain, round, memory, &bufs, scratch)
+                }
+                State::Continuous { loads } => {
+                    let bufs = RoundBufs {
+                        loads_i: CellsI64(&[]),
+                        loads_f: cells_f64(loads),
+                        prev: cells_f64(prev_flow),
+                        arc_frac: CellsF64(&[]),
+                        flows: CellsI64(&[]),
+                        block_sums,
+                    };
+                    scheme_kernel.run_inline(t, graph, mem, gain, round, memory, &bufs, scratch)
+                }
+                State::DiscreteCompact { loads, int_flows } => {
+                    let bufs = RoundBufs {
+                        loads_i: cells_i32(loads),
+                        loads_f: CellsF64(&[]),
+                        prev: cells_f32(prev_flow32),
+                        arc_frac: cells_f32(arc_frac32),
+                        flows: cells_i32(int_flows),
+                        block_sums,
+                    };
+                    scheme_kernel.run_inline(t, graph, mem, gain, round, memory, &bufs, scratch)
+                }
+                State::ContinuousCompact { loads } => {
+                    let bufs = RoundBufs {
+                        loads_i: CellsI64(&[]),
+                        loads_f: cells_f32(loads),
+                        prev: cells_f32(prev_flow32),
+                        arc_frac: CellsF64(&[]),
+                        flows: CellsI64(&[]),
+                        block_sums,
+                    };
+                    scheme_kernel.run_inline(t, graph, mem, gain, round, memory, &bufs, scratch)
+                }
+            }
         };
         if stats.min_transient < *min_transient {
             *min_transient = stats.min_transient;
         }
         *round_stats = Some(stats);
-    }
-
-    fn step_pooled(&mut self, mem: f64, gain: f64) {
-        let Self {
-            graph,
-            pool,
-            tables,
-            state,
-            prev_flow,
-            prev_flow32,
-            scratch,
-            round,
-            min_transient,
-            round_stats,
-            ..
-        } = self;
-        let attachment = pool.as_ref().expect("step_pooled requires a pool");
-        let compact = matches!(
-            state,
-            State::DiscreteCompact { .. } | State::ContinuousCompact { .. }
-        );
-        // Per-round plan state (the random-matching or fault-effective
-        // mask, plus any fault perturbations of the loads) is produced
-        // here, on the control thread, and published into the job before
-        // the round's first barrier — results never depend on the
-        // executor.
-        if compact {
-            attachment.job.kernel().prepare_pooled(
-                tables,
-                graph,
-                *round,
-                scratch,
-                &AtomicsI32(attachment.job.loads_i32_slots()),
-                &AtomicsF32(attachment.job.loads_f32_slots()),
-                attachment.job.mask_slots(),
-                attachment.job.stale_slots(),
-            );
-        } else {
-            attachment.job.kernel().prepare_pooled(
-                tables,
-                graph,
-                *round,
-                scratch,
-                &AtomicsI64(attachment.job.loads_i_slots()),
-                &AtomicsF64(attachment.job.loads_f_slots()),
-                attachment.job.mask_slots(),
-                attachment.job.stale_slots(),
-            );
-        }
-        let stats = attachment
-            .pool
-            .run_round(&attachment.job, mem, gain, *round, &mut scratch.fw);
-        if stats.min_transient < *min_transient {
-            *min_transient = stats.min_transient;
-        }
-        *round_stats = Some(stats);
-        // Mirror the job's canonical state back into the accessor-visible
-        // vectors (bit-exact copies). This eager O(n + m) sync keeps every
-        // `&self` accessor valid between rounds; threshold/plateau stop
-        // conditions and observers read loads each round anyway, so a lazy
-        // dirty-flag scheme would mostly shift the cost, not remove it.
-        match state {
-            State::Discrete { loads, .. } => attachment.job.read_loads_i(loads),
-            State::Continuous { loads } => attachment.job.read_loads_f(loads),
-            State::DiscreteCompact { loads, .. } => attachment.job.read_loads_i32(loads),
-            State::ContinuousCompact { loads } => attachment.job.read_loads_f32(loads),
-        }
-        if compact {
-            attachment.job.read_prev32(prev_flow32);
-        } else {
-            attachment.job.read_prev(prev_flow);
-        }
+        self.round += 1;
+        self.rounds_in_scheme += 1;
     }
 
     /// Runs until the stop condition fires; returns a report.

@@ -70,6 +70,10 @@ pub enum BuildError {
     /// Matching-based balancing needs at least one matching, but the
     /// graph has none (no edges).
     NoMatching(String),
+    /// The scheme needs a connected graph (`sos_opt` derives `β` from
+    /// the spectral gap, which a disconnected graph does not have);
+    /// carries the component count.
+    Disconnected(String),
     /// The SOS→FOS hybrid switch only applies to diffusion schemes;
     /// carries the offending scheme's display form.
     HybridRequiresDiffusion(String),
@@ -140,6 +144,7 @@ impl fmt::Display for BuildError {
             BuildError::NoMatching(msg) => {
                 write!(f, "matching-based balancing needs a matching: {msg}")
             }
+            BuildError::Disconnected(msg) => write!(f, "the graph is not connected: {msg}"),
             BuildError::HybridRequiresDiffusion(scheme) => write!(
                 f,
                 "the SOS→FOS hybrid switch requires a diffusion scheme (FOS/SOS), got {scheme}"

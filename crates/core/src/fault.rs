@@ -454,8 +454,13 @@ impl FaultState {
     /// `base ∧ live-edges ∧ ¬dropped`, counting the dropped-while-active
     /// edges (and, fused here because the composed mask *is* the active
     /// set, the round's stale losses). Returns the mask the flow pass
-    /// should use.
-    pub fn compose_eff(&mut self, spec: &FaultSpec, m: usize, base: EffBase<'_>) -> &[u64] {
+    /// should use, with the round's stale words for the apply pass.
+    pub fn compose_eff(
+        &mut self,
+        spec: &FaultSpec,
+        m: usize,
+        base: EffBase<'_>,
+    ) -> (&[u64], &[u64]) {
         let mw = m.div_ceil(64).max(1);
         self.eff.resize(mw, 0);
         let crash = spec.crash.is_some();
@@ -490,7 +495,7 @@ impl FaultState {
             }
             self.eff[w] = word;
         }
-        &self.eff
+        (&self.eff, &self.stale)
     }
 
     /// Counts the round's stale losses among the active edges (`mask`
@@ -753,7 +758,7 @@ mod tests {
         let mut fs = FaultState::default();
         fs.begin_round(&spec, &g, 0, None);
         let drop = fs.drop.clone();
-        let eff = fs.compose_eff(&spec, m, EffBase::All).to_vec();
+        let eff = fs.compose_eff(&spec, m, EffBase::All).0.to_vec();
         let live = spec.live_nodes(0, g.node_count());
         for (e, &(u, v)) in g.edges().iter().enumerate() {
             let bit = (eff[e >> 6] >> (e & 63)) & 1 == 1;

@@ -3,9 +3,10 @@
 //! Every phase of a simulation round is expressed here as a pure pass over
 //! an index range, parameterized over *how* state is read and written:
 //!
-//! * the sequential executor instantiates the passes with [`CellsF64`] /
+//! * the one-thread executor instantiates the passes with [`CellsF64`] /
 //!   [`CellsI64`] wrappers over plain slices (zero-cost shared-writable
-//!   views via [`std::cell::Cell`]),
+//!   views via [`std::cell::Cell`]; relaxed atomics would block
+//!   vectorization),
 //! * the persistent worker pool instantiates the *same* passes with
 //!   [`AtomicsF64`] / [`AtomicsI64`] wrappers over relaxed atomics.
 //!
@@ -13,6 +14,13 @@
 //! same per-element order, parallel results are bit-identical to
 //! sequential ones by construction — the property `tests/determinism.rs`
 //! checks exhaustively.
+//!
+//! Each edge pass exists once, for every scheme: it takes the round's
+//! coefficient tables and an active-edge source, and scales each
+//! scheduled flow by the edge's bit. The diffusion schemes pass
+//! [`all_edges`], whose constant `1` makes the factor an exact `x * 1.0`
+//! that the optimizer folds away; the pairwise schemes (and any scheme
+//! under edge faults or churn) pass a bit of the round's mask.
 //!
 //! The per-edge work is division-free: [`KernelTables`] precomputes the
 //! coefficient tables `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v`
@@ -562,125 +570,50 @@ fn ceil_i64(r: f64) -> i64 {
     t.saturating_add(i64::from((t as f64) < r))
 }
 
+/// The all-edges source of an edge pass: every edge is active. The
+/// passes scale each scheduled flow by its edge's bit as `f64`, and
+/// `x * 1.0` is exact, so a pass over this source computes exactly the
+/// unmasked flow; the optimizer folds the factor away.
+#[inline(always)]
+pub fn all_edges(_e: usize) -> u64 {
+    1
+}
+
+/// The empty edge source: no edge is in the set (the apply passes' stale
+/// source when the stale fault channel is off).
+#[inline(always)]
+pub fn no_edges(_e: usize) -> u64 {
+    0
+}
+
 /// Fused edge pass for the **edge-local** rounding schemes in discrete
 /// mode: computes the scheduled flow
-/// `Ŷ_e = mem·prev_e + gain·(coef_tail·x_tail − coef_head·x_head)`,
+/// `Ŷ_e = act_e·(mem·prev_e + gain·(coef_tail·x_tail − coef_head·x_head))`,
 /// rounds it, and updates the SOS flow memory, all in one zipped sweep
 /// over `edges` (bounds checks hoisted by slicing the range up front).
+///
+/// `active(e)` is edge `e`'s bit in the round's active set: `1` for
+/// every edge under [`all_edges`] (the diffusion schemes), a bit of the
+/// round's matching or color class for the pairwise schemes (and of the
+/// effective mask under edge faults or churn). An inactive edge's
+/// scheduled flow is forced to zero arithmetically — no branch — so it
+/// rounds to a zero flow and leaves its endpoints untouched. The
+/// coefficient tables are passed explicitly: the pairwise schemes use
+/// λ-scaled harmonic-speed coefficients instead of the diffusion `α_e/s`
+/// tables baked into [`KernelTables`].
 ///
 /// # Panics
 ///
 /// Panics for [`Rounding::RandomizedFramework`], which is node-centric and
-/// runs through [`edge_pass_scatter`] → [`arc_round_streamed`] →
+/// runs through [`edge_pass_scatter_with`] → [`arc_round_streamed`] →
 /// [`prev_from_flows`].
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_fused<P: BufF64, F: BufI64>(
     t: &KernelTables,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    round: u64,
-    rounding: Rounding,
-    flow_memory: FlowMemory,
-    x: impl Fn(usize) -> f64,
-    prev: &P,
-    flows: &F,
-) {
-    let e0 = edges.start;
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
-    let cts = &t.coef_tail[edges.clone()];
-    let chs = &t.coef_head[edges.clone()];
-    let prevs = &prev.elems()[edges.clone()];
-    let flow_elems = &flows.elems()[edges];
-    let len = tails.len();
-    let main = len - len % LANES;
-    macro_rules! fused_loop {
-        (|$k:ident, $s:ident| $round_expr:expr) => {{
-            // Lane-chunked main loop (see the module docs for the
-            // bit-exactness argument): chunk lane 1 computes the eight
-            // independent scheduled flows, lane 2 rounds and writes them
-            // in the same ascending edge order as the scalar tail.
-            for k0 in (0..main).step_by(LANES) {
-                let tc = &tails[k0..k0 + LANES];
-                let hc = &heads[k0..k0 + LANES];
-                let ctc = &cts[k0..k0 + LANES];
-                let chc = &chs[k0..k0 + LANES];
-                let pc = &prevs[k0..k0 + LANES];
-                let fc = &flow_elems[k0..k0 + LANES];
-                let mut s_lanes = [0.0f64; LANES];
-                for l in 0..LANES {
-                    s_lanes[l] = mem * P::read(&pc[l])
-                        + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize));
-                }
-                for l in 0..LANES {
-                    let $k = k0 + l;
-                    let $s = s_lanes[l];
-                    let y: i64 = $round_expr;
-                    F::write(&fc[l], y);
-                    P::write(
-                        &pc[l],
-                        match flow_memory {
-                            FlowMemory::Rounded => y as f64,
-                            FlowMemory::Scheduled => $s,
-                        },
-                    );
-                }
-            }
-            for $k in main..len {
-                let $s = mem * P::read(&prevs[$k])
-                    + gain * (cts[$k] * x(tails[$k] as usize) - chs[$k] * x(heads[$k] as usize));
-                let y: i64 = $round_expr;
-                F::write(&flow_elems[$k], y);
-                P::write(
-                    &prevs[$k],
-                    match flow_memory {
-                        FlowMemory::Rounded => y as f64,
-                        FlowMemory::Scheduled => $s,
-                    },
-                );
-            }
-        }};
-    }
-    match rounding {
-        Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
-        Rounding::Nearest => fused_loop!(|_k, s| round_i64(s)),
-        Rounding::UnbiasedEdge { seed } => fused_loop!(|k, s| {
-            let mut rng = SplitMix64::for_node_round(seed, (e0 + k) as u32, round);
-            let (floor, frac) = floor_frac(s);
-            floor + i64::from(rng.next_f64() < frac)
-        }),
-        Rounding::RandomizedFramework { .. } => {
-            panic!("the randomized framework is node-centric; use the arc passes")
-        }
-    }
-}
-
-/// Masked variant of [`edge_pass_fused`] for the pairwise schemes
-/// (dimension exchange, matching-based balancing): the scheduled flow of
-/// an edge outside the round's active matching is forced to zero by an
-/// arithmetic mask (one bit load per edge, no branch), so inactive edges
-/// round to a zero flow and leave their endpoints untouched. The
-/// coefficient tables are passed explicitly because the pairwise schemes
-/// use the λ-scaled harmonic-speed coefficients instead of the diffusion
-/// `α_e/s` tables baked into [`KernelTables`].
-///
-/// `mask` returns the `w`-th 64-bit word of the active-edge bitset
-/// (edge `e` is active iff bit `e % 64` of word `e / 64` is set). This is
-/// a separate function rather than a flag on [`edge_pass_fused`] so the
-/// diffusion hot path keeps its exact codegen.
-///
-/// # Panics
-///
-/// Panics for [`Rounding::RandomizedFramework`] (node-centric; use
-/// [`edge_pass_scatter_masked`]).
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
-    t: &KernelTables,
     coef_tail: &[f64],
     coef_head: &[f64],
     edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
+    active: impl Fn(usize) -> u64,
     mem: f64,
     gain: f64,
     round: u64,
@@ -701,6 +634,10 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
     let main = len - len % LANES;
     macro_rules! fused_loop {
         (|$k:ident, $s:ident| $round_expr:expr) => {{
+            // Lane-chunked main loop (see the module docs for the
+            // bit-exactness argument): chunk lane 1 computes the eight
+            // independent scheduled flows, lane 2 rounds and writes them
+            // in the same ascending edge order as the scalar tail.
             for k0 in (0..main).step_by(LANES) {
                 let tc = &tails[k0..k0 + LANES];
                 let hc = &heads[k0..k0 + LANES];
@@ -710,9 +647,7 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
                 let fc = &flow_elems[k0..k0 + LANES];
                 let mut s_lanes = [0.0f64; LANES];
                 for l in 0..LANES {
-                    let e = e0 + k0 + l;
-                    let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-                    s_lanes[l] = act
+                    s_lanes[l] = active(e0 + k0 + l) as f64
                         * (mem * P::read(&pc[l])
                             + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize)));
                 }
@@ -731,9 +666,7 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
                 }
             }
             for $k in main..len {
-                let e = e0 + $k;
-                let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-                let $s = act
+                let $s = active(e0 + $k) as f64
                     * (mem * P::read(&prevs[$k])
                         + gain
                             * (cts[$k] * x(tails[$k] as usize) - chs[$k] * x(heads[$k] as usize)));
@@ -763,20 +696,9 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
     }
 }
 
-/// Phase 1 of the randomized framework: computes the scheduled flow
-/// `Ŷ_e`, **floors it right here** (the sending side's outflow is `|Ŷ_e|`
-/// and its floor is the edge's base flow, so the per-arc floor pass of the
-/// old formulation collapses into this per-edge one), writes the signed
-/// base into the edge's flow slot, and *scatters* the fractional part
-/// into the sending side's arc slot (`0.0` into the receiving side's).
-/// The node-centric rounding phase then only sums its contiguous frac
-/// slots and distributes excess tokens. For [`FlowMemory::Scheduled`]
-/// the SOS memory is updated in the same sweep.
-///
-/// The sending-side selection is computed with arithmetic masks rather
-/// than branches — the sign of `Ŷ_e` is data-dependent and essentially
-/// random mid-simulation, so a branch here would mispredict about half
-/// the time.
+/// Phase 1 of the randomized framework over every edge with the
+/// diffusion coefficient tables: [`edge_pass_scatter_with`] under
+/// [`all_edges`].
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
     t: &KernelTables,
@@ -789,10 +711,61 @@ pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
     flows: &F,
     prev: &P,
 ) {
+    edge_pass_scatter_with(
+        t,
+        &t.coef_tail,
+        &t.coef_head,
+        edges,
+        all_edges,
+        mem,
+        gain,
+        flow_memory,
+        x,
+        arc_frac,
+        flows,
+        prev,
+    );
+}
+
+/// Phase 1 of the randomized framework: computes the scheduled flow
+/// `Ŷ_e`, **floors it right here** (the sending side's outflow is `|Ŷ_e|`
+/// and its floor is the edge's base flow, so the per-arc floor pass of the
+/// old formulation collapses into this per-edge one), writes the signed
+/// base into the edge's flow slot, and *scatters* the fractional part
+/// into the sending side's arc slot (`0.0` into the receiving side's).
+/// The node-centric rounding phase then only sums its contiguous frac
+/// slots and distributes excess tokens. For [`FlowMemory::Scheduled`]
+/// the SOS memory is updated in the same sweep.
+///
+/// Inactive edges (see [`edge_pass_fused`] for the `active` source and
+/// the coefficient tables) contribute a zero base flow and zero
+/// fractional parts, so the rounding phase runs unchanged — a node whose
+/// arcs are all inactive sums `r = 0` and skips out.
+///
+/// The sending-side selection is computed with arithmetic masks rather
+/// than branches — the sign of `Ŷ_e` is data-dependent and essentially
+/// random mid-simulation, so a branch here would mispredict about half
+/// the time.
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+pub fn edge_pass_scatter_with<A: BufF64, F: BufI64, P: BufF64>(
+    t: &KernelTables,
+    coef_tail: &[f64],
+    coef_head: &[f64],
+    edges: Range<usize>,
+    active: impl Fn(usize) -> u64,
+    mem: f64,
+    gain: f64,
+    flow_memory: FlowMemory,
+    x: impl Fn(usize) -> f64,
+    arc_frac: &A,
+    flows: &F,
+    prev: &P,
+) {
+    let e0 = edges.start;
     let tails = &t.tail[edges.clone()];
     let heads = &t.head[edges.clone()];
-    let cts = &t.coef_tail[edges.clone()];
-    let chs = &t.coef_head[edges.clone()];
+    let cts = &coef_tail[edges.clone()];
+    let chs = &coef_head[edges.clone()];
     let positions = &t.edge_arc_pos[edges.clone()];
     let prevs = &prev.elems()[edges.clone()];
     let flow_elems = &flows.elems()[edges];
@@ -842,89 +815,14 @@ pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
         // ~10% slower on out-of-cache tori). The chunk still earns its
         // keep by hoisting the bounds checks into the slice splits above.
         for l in 0..LANES {
-            let s = mem * P::read(&pc[l])
-                + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize));
-            scatter_one(&poc[l], &pc[l], &fc[l], s);
-        }
-    }
-    for k in main..len {
-        let s = mem * P::read(&prevs[k])
-            + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize));
-        scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
-    }
-}
-
-/// Masked variant of [`edge_pass_scatter`] for the pairwise schemes under
-/// the randomized rounding framework: inactive edges contribute a zero
-/// base flow and zero fractional parts, so the node-centric rounding
-/// phase ([`arc_round_streamed`]) runs unchanged — a node whose arcs are
-/// all inactive sums `r = 0` and skips out. See
-/// [`edge_pass_fused_masked`] for the mask convention and why this is a
-/// separate function.
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_scatter_masked<A: BufF64, F: BufI64, P: BufF64>(
-    t: &KernelTables,
-    coef_tail: &[f64],
-    coef_head: &[f64],
-    edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
-    mem: f64,
-    gain: f64,
-    flow_memory: FlowMemory,
-    x: impl Fn(usize) -> f64,
-    arc_frac: &A,
-    flows: &F,
-    prev: &P,
-) {
-    let e0 = edges.start;
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
-    let cts = &coef_tail[edges.clone()];
-    let chs = &coef_head[edges.clone()];
-    let positions = &t.edge_arc_pos[edges.clone()];
-    let prevs = &prev.elems()[edges.clone()];
-    let flow_elems = &flows.elems()[edges];
-    let len = tails.len();
-    let main = len - len % LANES;
-    let scatter_one = |&(pt, ph): &(u32, u32), pe: &P::Elem, fe: &F::Elem, s: f64| {
-        let base = trunc_i64(s);
-        let frac = (s - base as f64).abs();
-        let tail_sends = f64::from(u8::from(s > 0.0));
-        let frac_tail = frac * tail_sends;
-        arc_frac.set(pt as usize, frac_tail);
-        arc_frac.set(ph as usize, frac - frac_tail);
-        F::write(fe, base);
-        if matches!(flow_memory, FlowMemory::Scheduled) {
-            P::write(pe, s);
-        }
-    };
-    for k0 in (0..main).step_by(LANES) {
-        for &(pt, ph) in positions.iter().skip(k0 + prefetch::DIST).take(LANES) {
-            prefetch::read_index(arc_frac.elems(), pt as usize);
-            prefetch::read_index(arc_frac.elems(), ph as usize);
-        }
-        let tc = &tails[k0..k0 + LANES];
-        let hc = &heads[k0..k0 + LANES];
-        let ctc = &cts[k0..k0 + LANES];
-        let chc = &chs[k0..k0 + LANES];
-        let pc = &prevs[k0..k0 + LANES];
-        let poc = &positions[k0..k0 + LANES];
-        let fc = &flow_elems[k0..k0 + LANES];
-        // Compute and scatter fused per lane, as in [`edge_pass_scatter`]:
-        // staging the scheduled flows bursts the data-dependent stores.
-        for l in 0..LANES {
-            let e = e0 + k0 + l;
-            let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-            let s = act
+            let s = active(e0 + k0 + l) as f64
                 * (mem * P::read(&pc[l])
                     + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize)));
             scatter_one(&poc[l], &pc[l], &fc[l], s);
         }
     }
     for k in main..len {
-        let e = e0 + k;
-        let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-        let s = act
+        let s = active(e0 + k) as f64
             * (mem * P::read(&prevs[k])
                 + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize)));
         scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
@@ -933,54 +831,16 @@ pub fn edge_pass_scatter_masked<A: BufF64, F: BufI64, P: BufF64>(
 
 /// Fused edge pass for continuous mode: the scheduled flow *is* the flow,
 /// so it is written straight into the flow memory (which the apply pass
-/// then reads as this round's flows).
-pub fn edge_pass_continuous<P: BufF64>(
-    t: &KernelTables,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    x: impl Fn(usize) -> f64,
-    prev: &P,
-) {
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
-    let cts = &t.coef_tail[edges.clone()];
-    let chs = &t.coef_head[edges.clone()];
-    let prevs = &prev.elems()[edges];
-    let len = tails.len();
-    let main = len - len % LANES;
-    for k0 in (0..main).step_by(LANES) {
-        let tc = &tails[k0..k0 + LANES];
-        let hc = &heads[k0..k0 + LANES];
-        let ctc = &cts[k0..k0 + LANES];
-        let chc = &chs[k0..k0 + LANES];
-        let pc = &prevs[k0..k0 + LANES];
-        let mut s_lanes = [0.0f64; LANES];
-        for l in 0..LANES {
-            s_lanes[l] = mem * P::read(&pc[l])
-                + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize));
-        }
-        for (l, &s) in s_lanes.iter().enumerate() {
-            P::write(&pc[l], s);
-        }
-    }
-    for k in main..len {
-        let s = mem * P::read(&prevs[k])
-            + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize));
-        P::write(&prevs[k], s);
-    }
-}
-
-/// Masked variant of [`edge_pass_continuous`] for the pairwise schemes:
-/// inactive edges carry a zero flow this round. See
-/// [`edge_pass_fused_masked`] for the mask convention.
+/// then reads as this round's flows). Inactive edges carry a zero flow;
+/// see [`edge_pass_fused`] for the `active` source and the coefficient
+/// tables.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_continuous_masked<P: BufF64>(
+pub fn edge_pass_continuous<P: BufF64>(
     t: &KernelTables,
     coef_tail: &[f64],
     coef_head: &[f64],
     edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
+    active: impl Fn(usize) -> u64,
     mem: f64,
     gain: f64,
     x: impl Fn(usize) -> f64,
@@ -1002,9 +862,7 @@ pub fn edge_pass_continuous_masked<P: BufF64>(
         let pc = &prevs[k0..k0 + LANES];
         let mut s_lanes = [0.0f64; LANES];
         for l in 0..LANES {
-            let e = e0 + k0 + l;
-            let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-            s_lanes[l] = act
+            s_lanes[l] = active(e0 + k0 + l) as f64
                 * (mem * P::read(&pc[l])
                     + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize)));
         }
@@ -1013,9 +871,7 @@ pub fn edge_pass_continuous_masked<P: BufF64>(
         }
     }
     for k in main..len {
-        let e = e0 + k;
-        let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-        let s = act
+        let s = active(e0 + k) as f64
             * (mem * P::read(&prevs[k])
                 + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize)));
         P::write(&prevs[k], s);
@@ -1505,7 +1361,10 @@ mod tests {
             let mut fused_flows = vec![0i64; m];
             edge_pass_fused(
                 &t,
+                &t.coef_tail,
+                &t.coef_head,
                 0..m,
+                all_edges,
                 0.4,
                 1.6,
                 9,
@@ -1537,6 +1396,72 @@ mod tests {
                 };
                 assert_eq!(fused_flows[e], expected, "{rounding:?} edge {e}");
             }
+        }
+    }
+
+    /// An edge pass over a mask computes exactly the all-edges flow on
+    /// its active edges and a zero flow on the rest, in every pass.
+    #[test]
+    fn masked_passes_match_all_edges_on_active_edges() {
+        let g = generators::torus2d(5, 5);
+        let t = KernelTables::new(&g, &Speeds::linear_ramp(25, 2.0), true, 0.0);
+        let m = t.m;
+        let loads: Vec<f64> = (0..25).map(|i| ((i * 13) % 17) as f64).collect();
+        let prev0: Vec<f64> = (0..m).map(|e| (e as f64) * 0.21 - 1.5).collect();
+        let mut words = vec![0u64; m.div_ceil(64)];
+        for e in (0..m).step_by(3) {
+            words[e >> 6] |= 1 << (e & 63);
+        }
+        let every_third = |e: usize| (words[e >> 6] >> (e & 63)) & 1;
+        let (ct, ch) = (&t.coef_tail[..], &t.coef_head[..]);
+        let x = |i: usize| loads[i];
+        let memory = FlowMemory::Scheduled;
+        // (flow memory, integral flows, arc fractions) after each pass.
+        let run = |active: &dyn Fn(usize) -> u64| {
+            let mut out = Vec::new();
+            let (mut prev, mut flows) = (prev0.clone(), vec![0i64; m]);
+            let (p, f) = (cells_f64(&mut prev), cells_i64(&mut flows));
+            let nearest = Rounding::nearest();
+            edge_pass_fused(
+                &t,
+                ct,
+                ch,
+                0..m,
+                active,
+                0.4,
+                1.6,
+                3,
+                nearest,
+                memory,
+                x,
+                &p,
+                &f,
+            );
+            out.push((prev, flows, Vec::new()));
+            let (mut prev, mut flows) = (prev0.clone(), vec![0i64; m]);
+            let mut fracs = vec![9.0; g.arc_count()];
+            let (p, f) = (cells_f64(&mut prev), cells_i64(&mut flows));
+            let a = cells_f64(&mut fracs);
+            edge_pass_scatter_with(&t, ct, ch, 0..m, active, 0.4, 1.6, memory, x, &a, &f, &p);
+            out.push((prev, flows, fracs));
+            let mut prev = prev0.clone();
+            edge_pass_continuous(&t, ct, ch, 0..m, active, 0.4, 1.6, x, &cells_f64(&mut prev));
+            out.push((prev, Vec::new(), Vec::new()));
+            out
+        };
+        for (all, some) in run(&all_edges).into_iter().zip(run(&every_third)) {
+            let mut expected = all.clone();
+            for e in (0..m).filter(|&e| every_third(e) == 0) {
+                expected.0[e] = 0.0;
+                if let Some(y) = expected.1.get_mut(e) {
+                    *y = 0;
+                }
+                if !expected.2.is_empty() {
+                    let (pt, ph) = t.edge_arc_pos[e];
+                    (expected.2[pt as usize], expected.2[ph as usize]) = (0.0, 0.0);
+                }
+            }
+            assert_eq!(some, expected);
         }
     }
 

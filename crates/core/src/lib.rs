@@ -115,12 +115,15 @@
 //! instantiates to the exact pre-compact code while `mem=compact`
 //! stores loads and per-edge state as `i32`/`f32` at half the bytes,
 //! widening on every read and narrowing on every write but keeping all
-//! arithmetic in `f64`. Load deltas are planned and applied on
-//! the control thread before each round's flow pass (and before the
-//! pool's first barrier), so both the sequential executor and the
-//! worker pool balance identical per-round loads and run the same
-//! kernel calls in the same per-element order — pooled results are
-//! bit-identical to sequential ones for every scheme, every fault plan,
+//! arithmetic in `f64`. A round has one body, in the scheme-kernel
+//! layer: the control thread's `prepare_round` (fault, churn and load
+//! deltas, then the round's effective active-edge mask) and one phase
+//! sequence (edge pass, rounding, apply pass). The worker pool runs the
+//! phase sequence on every participant with a barrier between phases;
+//! a one-thread simulation runs it inline over the whole graph with no
+//! sync. Both executors balance identical per-round loads and run the
+//! same kernel calls in the same per-element order — pooled results are
+//! bit-identical to one-thread ones for every scheme, every fault plan,
 //! every load plan, and every churn plan, by construction. Dynamic runs
 //! stop through the dedicated [`StopCondition::Steady`] /
 //! [`StopCondition::Horizon`] modes, which report windowed steady-state
@@ -139,7 +142,8 @@
 //!    plan in `SchemeKernel::new`. If the scheme activates a subset of
 //!    edges, build its masks here (e.g. from
 //!    [`sodiff_graph::matching`]); if it needs new per-edge
-//!    coefficients, compute them here. Only a genuinely new *phase
+//!    coefficients, compute them here. Every edge pass already takes a
+//!    mask and coefficient tables, so only a genuinely new *phase
 //!    structure* requires touching `kernel.rs` itself. The fault axis
 //!    composes automatically: any masked plan is intersected with the
 //!    round's live/dropped edge sets, and sweep families are repaired
@@ -227,10 +231,12 @@
 //!
 //! **Scheme-kernel dispatch** (`scheme_kernel` module). The per-round
 //! phase sequence is selected once per simulation through plain enums
-//! (flow pass × active plan) and monomorphized per mask source, so the
-//! diffusion hot paths run the *original unmasked* kernels — the layer
-//! adds no per-round indirection to FOS/SOS — while the pairwise schemes
-//! get masked variants of the same passes.
+//! (flow pass × active plan) and monomorphized per active-edge source:
+//! each edge pass exists once, and its all-edges instance multiplies by
+//! a constant `1.0` that the optimizer folds away, so the diffusion hot
+//! paths compile to plain unmasked loops — the layer adds no per-round
+//! indirection to FOS/SOS — while the pairwise schemes read a mask bit
+//! per edge in the same function.
 //!
 //! **Persistent worker pool + concurrent scenario scheduling** (`pool` /
 //! `driver` modules). With [`ExperimentBuilder::threads`]`(t > 1)`,

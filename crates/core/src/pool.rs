@@ -12,21 +12,25 @@
 //! * [`RoundJob`] owns one simulation's shared state (kernel tables,
 //!   chunk boundaries, loads, flow memory, scratch) in relaxed atomics.
 //!   Attaching a different job retargets the same threads at a different
-//!   simulation — no respawn, no rejoin. The per-round phase sequence
-//!   itself lives in the job's [`crate::scheme_kernel::SchemeKernel`]:
-//!   the pool is scheme-agnostic.
+//!   simulation — no respawn, no rejoin. The round itself lives in the
+//!   job's [`crate::scheme_kernel::SchemeKernel`]: the control thread
+//!   runs its `prepare_round` against the job's loads and publishes the
+//!   returned mask and stale words ([`RoundJob::prepare`]); every
+//!   participant then runs its chunk of the kernel's phase sequence with
+//!   the barrier as the phase sync. The pool is scheme-agnostic.
 //!
 //! Phases are separated by the barrier, which provides the necessary
 //! happens-before edges, so the pool needs no `unsafe` and stays within
-//! the crate's `#![forbid(unsafe_code)]`. All arithmetic runs through the
-//! same kernels as the sequential executor ([`crate::kernel`]), in the
-//! same per-element order, so pooled results are **bit-identical** to
-//! sequential ones for every scheme × rounding × mode combination
+//! the crate's `#![forbid(unsafe_code)]`. The one-thread executor runs the
+//! same phase sequence over the whole graph, so pooled results are
+//! **bit-identical** to it for every scheme × rounding × mode combination
 //! regardless of thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
+
+use sodiff_graph::Graph;
 
 use crate::engine::FlowMemory;
 use crate::kernel::{
@@ -34,7 +38,7 @@ use crate::kernel::{
 };
 use crate::matchgen::mask_words;
 use crate::metrics::DEV_BLOCK;
-use crate::scheme_kernel::{ChunkBufs, SchemeKernel};
+use crate::scheme_kernel::{RoundBufs, RoundScratch, SchemeKernel};
 
 /// One simulation's state as seen by the pool: everything a worker needs
 /// to run its share of a round. The phase sequence itself lives in the
@@ -71,9 +75,9 @@ pub(crate) struct RoundJob {
     flows32: Vec<AtomicI32>,
     /// Whether this job runs the compact (`i32`/`f32`) state layout.
     compact: bool,
-    /// Active-edge bitmask words (random-matching jobs, or any job with
-    /// edge faults), published by the control thread before each round's
-    /// first barrier.
+    /// Active-edge bitmask words (every job whose kernel is
+    /// [`SchemeKernel::masked`]), published by the control thread before
+    /// each round's first barrier.
     mask: Vec<AtomicU64>,
     /// Stale-edge bitmask words (stale-fault jobs only), published by
     /// the control thread before each round's first barrier.
@@ -160,9 +164,8 @@ impl RoundJob {
         let m = tables.m;
         let arcs = tables.arc_edges.len();
         let framework = kernel.needs_arc_plan();
-        let masked =
-            kernel.needs_random_mask() || kernel.needs_fault_mask() || kernel.needs_churn_mask();
-        let staled = kernel.needs_stale_mask();
+        let masked = kernel.masked();
+        let staled = kernel.faults.stale.is_some();
         let compact = matches!(loads, JobLoads::I32(_) | JobLoads::F32(_));
         let discrete = matches!(loads, JobLoads::I64(_) | JobLoads::I32(_));
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
@@ -223,92 +226,90 @@ impl RoundJob {
         }
     }
 
-    /// This job's scheme kernel (the simulator drives round preparation
-    /// through it).
-    pub fn kernel(&self) -> &Arc<SchemeKernel> {
-        &self.kernel
+    /// The control-thread half of a round, run before
+    /// [`WorkerPool::run_round`] with the workers parked: the kernel's
+    /// `prepare_round` against the job's own loads, then the returned
+    /// mask and stale words published to the workers. Returns
+    /// participant 0's framework scratch for the round.
+    pub fn prepare<'s>(
+        &'s self,
+        graph: &Graph,
+        round: u64,
+        scratch: &'s mut RoundScratch,
+    ) -> &'s mut FwScratch {
+        let t = &*self.tables;
+        let prep = if self.compact {
+            let (li, lf) = (AtomicsI32(&self.loads_i32), AtomicsF32(&self.loads_f32));
+            self.kernel
+                .prepare_round(t, graph, round, scratch, &li, &lf)
+        } else {
+            let (li, lf) = (AtomicsI64(&self.loads_i), AtomicsF64(&self.loads_f));
+            self.kernel
+                .prepare_round(t, graph, round, scratch, &li, &lf)
+        };
+        debug_assert_eq!(
+            prep.mask.is_some(),
+            self.kernel.masked(),
+            "mask slots sized by masked()"
+        );
+        for (slots, words) in [(&self.mask, prep.mask), (&self.stale, prep.stale)] {
+            for (slot, &w) in slots.iter().zip(words.unwrap_or_default()) {
+                slot.store(w, Ordering::Relaxed);
+            }
+        }
+        prep.fw
     }
 
-    /// The job's active-edge mask words (empty unless the kernel draws
-    /// random matchings or injects edge faults).
-    pub fn mask_slots(&self) -> &[AtomicU64] {
-        &self.mask
-    }
-
-    /// The job's stale-edge mask words (empty unless the kernel injects
-    /// stale flows).
-    pub fn stale_slots(&self) -> &[AtomicU64] {
-        &self.stale
-    }
-
-    /// The job's canonical integer loads (empty in continuous mode).
-    pub fn loads_i_slots(&self) -> &[AtomicI64] {
-        &self.loads_i
-    }
-
-    /// The job's canonical continuous load bits (empty in discrete mode).
-    pub fn loads_f_slots(&self) -> &[AtomicU64] {
-        &self.loads_f
-    }
-
-    /// Runs participant `t`'s share of one round. Called by workers and —
+    /// Runs participant `p`'s share of one round. Called by workers and —
     /// for participant 0 — by the simulator thread itself. `barrier` is
     /// the owning pool's phase barrier.
-    fn run_chunk(&self, barrier: &Barrier, t: usize, scratch: &mut FwScratch) {
-        let tables = &*self.tables;
+    fn run_chunk(&self, barrier: &Barrier, p: usize, scratch: &mut FwScratch) {
+        let t = &*self.tables;
         let mem = f64::from_bits(self.mem_bits.load(Ordering::Relaxed));
         let gain = f64::from_bits(self.gain_bits.load(Ordering::Relaxed));
         let round = self.round.load(Ordering::Relaxed);
-        let edges = self.edge_bounds[t]..self.edge_bounds[t + 1];
-        let nodes = self.node_bounds[t]..self.node_bounds[t + 1];
+        let edges = self.edge_bounds[p]..self.edge_bounds[p + 1];
+        let nodes = self.node_bounds[p]..self.node_bounds[p + 1];
+        let sync = || {
+            barrier.wait();
+        };
+        let mask = self
+            .kernel
+            .masked()
+            .then_some(|w: usize| self.mask[w].load(Ordering::Relaxed));
+        let stale = self
+            .kernel
+            .faults
+            .stale
+            .is_some()
+            .then_some(|w: usize| self.stale[w].load(Ordering::Relaxed));
+        let (fm, block_sums) = (self.flow_memory, AtomicsF64(&self.block_sums));
         let stats = if self.compact {
-            let bufs = ChunkBufs {
+            let bufs = RoundBufs {
                 loads_i: AtomicsI32(&self.loads_i32),
                 loads_f: AtomicsF32(&self.loads_f32),
                 prev: AtomicsF32(&self.prev32),
                 arc_frac: AtomicsF32(&self.arc_frac32),
                 flows: AtomicsI32(&self.flows32),
-                mask: &self.mask,
-                stale: &self.stale,
-                block_sums: &self.block_sums,
+                block_sums,
             };
-            self.kernel.run_chunk(
-                tables,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                self.flow_memory,
-                &bufs,
-                scratch,
+            self.kernel.run_phases(
+                t, sync, edges, nodes, mem, gain, round, fm, &bufs, mask, stale, scratch,
             )
         } else {
-            let bufs = ChunkBufs {
+            let bufs = RoundBufs {
                 loads_i: AtomicsI64(&self.loads_i),
                 loads_f: AtomicsF64(&self.loads_f),
                 prev: AtomicsF64(&self.prev),
                 arc_frac: AtomicsF64(&self.arc_frac),
                 flows: AtomicsI64(&self.flows),
-                mask: &self.mask,
-                stale: &self.stale,
-                block_sums: &self.block_sums,
+                block_sums,
             };
-            self.kernel.run_chunk(
-                tables,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                self.flow_memory,
-                &bufs,
-                scratch,
+            self.kernel.run_phases(
+                t, sync, edges, nodes, mem, gain, round, fm, &bufs, mask, stale, scratch,
             )
         };
-        self.stats[t].store(stats);
+        self.stats[p].store(stats);
     }
 
     /// Copies the job's integer loads back into `out`.
@@ -354,18 +355,6 @@ impl RoundJob {
         for (a, &x) in self.prev.iter().zip(src) {
             a.store(x.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// The job's canonical compact integer loads (`mem=compact`,
-    /// discrete mode; empty otherwise).
-    pub fn loads_i32_slots(&self) -> &[AtomicI32] {
-        &self.loads_i32
-    }
-
-    /// The job's canonical compact continuous load bits (`mem=compact`,
-    /// continuous mode; empty otherwise).
-    pub fn loads_f32_slots(&self) -> &[AtomicU32] {
-        &self.loads_f32
     }
 
     /// Copies the job's compact integer loads back into `out`.

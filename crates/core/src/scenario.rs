@@ -219,14 +219,22 @@ impl SchemeSpec {
     ///
     /// Returns [`BuildError::InvalidBeta`] for explicit `β` outside
     /// `(0, 2)` or when `sos_opt` is requested on a graph whose `λ` is
-    /// not in `[0, 1)` (disconnected or degenerate networks), and
-    /// [`BuildError::InvalidLambda`] for a pairwise exchange gain outside
-    /// `(0, 1]`.
+    /// not in `[0, 1)` (degenerate networks),
+    /// [`BuildError::Disconnected`] when `sos_opt` is requested on a
+    /// disconnected graph, and [`BuildError::InvalidLambda`] for a
+    /// pairwise exchange gain outside `(0, 1]`.
     pub fn resolve(&self, graph: &Graph, speeds: &Speeds) -> Result<Scheme, BuildError> {
         let scheme = match *self {
             SchemeSpec::Fos => Scheme::Fos,
             SchemeSpec::Sos { beta } => Scheme::try_sos(beta)?,
             SchemeSpec::SosOpt => {
+                let parts = sodiff_graph::traversal::connected_components(graph);
+                if parts > 1 {
+                    return Err(BuildError::Disconnected(format!(
+                        "sos_opt needs the spectral gap of a connected graph, \
+                         this one has {parts} components"
+                    )));
+                }
                 let lambda = sodiff_linalg::spectral::analyze(graph, speeds).lambda;
                 if !(0.0..1.0).contains(&lambda) {
                     return Err(BuildError::InvalidBeta(lambda));

@@ -47,14 +47,27 @@
 //!   fault → churn → load injection before the flow pass, so a
 //!   departing node's handoff lands before new work arrives.
 //!
-//! The masked plans run through `*_masked` kernel variants that force
-//! inactive edges' flows to zero with a branchless bit test; the
-//! diffusion plan runs through the original unmasked kernels. Both the
-//! sequential executor ([`SchemeKernel::run_discrete_seq`] /
-//! [`SchemeKernel::run_continuous_seq`]) and the worker pool
-//! ([`SchemeKernel::run_chunk`]) execute the *same* kernel calls in the
-//! same per-element order, so pooled results remain bit-identical to
-//! sequential ones for every scheme — the property
+//! A round has exactly one body, written once here:
+//!
+//! 1. [`SchemeKernel::prepare_round`] — control thread only: fault
+//!    epoch and shock, churn transition and handoff, load injection,
+//!    then the round's effective active-edge mask and stale words.
+//! 2. [`SchemeKernel::run_phases`] — one participant's share of the
+//!    phase sequence (edge pass, rounding, apply pass), separated by a
+//!    phase sync. The worker pool runs it on every participant with
+//!    `Barrier::wait` as the sync and the published mask in relaxed
+//!    atomics; the one-thread executor ([`SchemeKernel::run_inline`])
+//!    runs it once over every edge and node with a no-op sync and
+//!    `Cell` handles (relaxed atomics would not vectorize).
+//!
+//! Each edge pass takes the round's coefficient tables and an
+//! active-edge source: [`crate::kernel::all_edges`] (the constant `1`)
+//! for an unmasked diffusion round, a bit of the published mask
+//! otherwise. An inactive edge's flow is forced to zero with a branchless
+//! bit test, and `x * 1.0` is exact, so the all-edges instance computes
+//! the unmasked flow bit for bit. Both executors run the same kernel
+//! calls in the same per-element order, so pooled results are
+//! bit-identical to inline ones for every scheme — the property
 //! `tests/determinism.rs` and the golden traces check.
 //!
 //! Pairwise schemes replace the diffusion coefficients `α_e/s` with the
@@ -63,17 +76,10 @@
 //! `y = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)` — exact pairwise
 //! averaging at `λ = 1` under uniform speeds.
 //!
-//! Per-round matching state (the random plan's mask) is produced by the
-//! *control* thread — [`SchemeKernel::prepare_pooled`] before the round's
-//! first barrier on the pool, or inline in the sequential round — so
-//! results never depend on the executor.
-//!
 //! See the "adding a scheme" walkthrough in the crate docs
 //! ([`crate`]) for the end-to-end list of touch points.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Barrier;
 
 use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 
@@ -81,7 +87,7 @@ use crate::churn::{ChurnSpec, ChurnState};
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
 use crate::fault::{EffBase, FaultSpec, FaultState};
-use crate::kernel::{self, AtomicsF64, BufF64, BufI64, FwScratch, KernelTables, LoadStats};
+use crate::kernel::{self, BufF64, BufI64, FwScratch, KernelTables, LoadStats};
 use crate::load::{LoadSpec, LoadState};
 use crate::matchgen::{self, mask_words, MatchScratch};
 use crate::rounding::Rounding;
@@ -131,16 +137,13 @@ pub(crate) enum ActivePlan {
 
 /// Everything a simulation's control thread needs between rounds: the
 /// framework rounding scratch, the matching-generation scratch, and the
-/// sequential executor's potential-block buffer.
+/// fault, load and churn state.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
     /// Participant-0 scratch of the randomized framework's rounding phase.
     pub fw: FwScratch,
     /// Random-matching generation scratch.
     pub matchgen: MatchScratch,
-    /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
-    /// the sequential apply pass (the pool keeps its own atomic buffer).
-    block_sums: Vec<f64>,
     /// Fault-injection state: live sets, repaired sweep masks, per-round
     /// drop/stale masks, and the accumulated event counters.
     pub fault: FaultState,
@@ -160,16 +163,15 @@ impl RoundScratch {
     }
 }
 
-/// One simulation's shared atomic state as seen by a pool participant;
-/// see [`SchemeKernel::run_chunk`].
+/// One simulation's state handles as seen by one participant of
+/// [`SchemeKernel::run_phases`]: `Cell` views on the inline executor,
+/// relaxed atomics on the pool.
 ///
-/// Generic over the five load/flow buffer handles so the compact
-/// (`mem=compact`) jobs thread their `i32`/`f32` atomic twins through
-/// the *same* phase sequence the full-width jobs monomorphize: the
-/// full-width instantiation ([`crate::kernel::AtomicsI64`] /
-/// [`crate::kernel::AtomicsF64`]) keeps its exact pre-compact codegen.
-/// The mask/stale/potential words stay `u64` in both layouts.
-pub(crate) struct ChunkBufs<'a, LI, LF, P, F, A> {
+/// Generic over the handles so the compact (`mem=compact`) layout threads
+/// its `i32`/`f32` storage through the *same* phase sequence the
+/// full-width layout monomorphizes: the full-width instantiation keeps
+/// its exact pre-compact codegen.
+pub(crate) struct RoundBufs<LI, LF, P, F, A, B> {
     /// Integer loads (discrete mode; empty otherwise).
     pub loads_i: LI,
     /// Continuous loads (continuous mode; empty otherwise).
@@ -180,18 +182,21 @@ pub(crate) struct ChunkBufs<'a, LI, LF, P, F, A> {
     pub arc_frac: A,
     /// Per-edge integral flows (discrete mode).
     pub flows: F,
-    /// Active-edge bitmask words (random matching plan, or any plan
-    /// under edge faults), published by the control thread before the
-    /// round's first barrier.
-    pub mask: &'a [AtomicU64],
-    /// The round's stale-edge words (stale fault channel only),
-    /// published by the control thread before the round's first barrier
-    /// and consumed by the apply pass.
-    pub stale: &'a [AtomicU64],
-    /// Per-block squared-deviation partials written by the apply pass
-    /// (one writer per block: node chunks are block-aligned), folded by
-    /// the control thread after the round.
-    pub block_sums: &'a [AtomicU64],
+    /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials
+    /// written by the apply pass (one writer per block: node chunks are
+    /// block-aligned), folded in block order after the round.
+    pub block_sums: B,
+}
+
+/// The control thread's output of [`SchemeKernel::prepare_round`].
+pub(crate) struct PreparedRound<'s> {
+    /// The round's effective active-edge mask words (`None` = every edge
+    /// active).
+    pub mask: Option<&'s [u64]>,
+    /// The round's stale-edge words (stale fault channel only).
+    pub stale: Option<&'s [u64]>,
+    /// Participant 0's framework rounding scratch.
+    pub fw: &'s mut FwScratch,
 }
 
 /// The per-simulation scheme kernel; see the module docs above.
@@ -236,6 +241,12 @@ fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> (Vec<f64>, Vec
         coef_head.push(lambda * su / (su + sv));
     }
     (coef_tail, coef_head)
+}
+
+/// The per-edge bit source of a bitset read word by word: edge `e` is in
+/// the set iff bit `e % 64` of word `e / 64` is set.
+fn edge_bits(words: impl Fn(usize) -> u64) -> impl Fn(usize) -> u64 {
+    move |e| (words(e >> 6) >> (e & 63)) & 1
 }
 
 impl SchemeKernel {
@@ -350,37 +361,20 @@ impl SchemeKernel {
         matches!(self.flow, FlowPass::Framework { .. })
     }
 
-    /// Whether the plan publishes a per-round mask through the job's
-    /// atomic mask words (the random-matching plan).
-    pub fn needs_random_mask(&self) -> bool {
-        matches!(self.plan, ActivePlan::Random { .. })
+    /// Whether a round's flow pass reads an active-edge mask: every plan
+    /// but plain diffusion, and any plan once edge faults (crash or
+    /// edgedrop) or churn are on. Fixed for the simulation's lifetime;
+    /// [`SchemeKernel::prepare_round`] returns a mask exactly when this
+    /// holds.
+    pub fn masked(&self) -> bool {
+        !matches!(self.plan, ActivePlan::All)
+            || self.faults.has_edge_faults()
+            || !self.churn.is_none()
     }
 
-    /// Whether the fault axis forces per-round edge masking (crash or
-    /// edgedrop channel active), routing every plan — including
-    /// diffusion — through the published mask words.
-    pub fn needs_fault_mask(&self) -> bool {
-        self.faults.has_edge_faults()
-    }
-
-    /// Whether the fault axis publishes a per-round stale mask for the
-    /// apply pass.
-    pub fn needs_stale_mask(&self) -> bool {
-        self.faults.stale.is_some()
-    }
-
-    /// Whether the churn axis forces per-round edge masking (a flux
-    /// channel is active), routing every plan — including diffusion —
-    /// through the published mask words so a departed node's incident
-    /// edges carry no flow.
-    pub fn needs_churn_mask(&self) -> bool {
-        !self.churn.is_none()
-    }
-
-    /// The pairwise coefficient tables for masked passes, falling back
-    /// to the diffusion `α_e/s` tables when this kernel is a diffusion
-    /// scheme that only became masked through the fault axis.
-    fn masked_coefs<'a>(&'a self, t: &'a KernelTables) -> (&'a [f64], &'a [f64]) {
+    /// The coefficient tables of the edge passes: the pairwise λ-scaled
+    /// tables, or the diffusion `α_e/s` tables of [`KernelTables`].
+    fn coefs<'a>(&'a self, t: &'a KernelTables) -> (&'a [f64], &'a [f64]) {
         if self.coef_tail.is_empty() {
             (&t.coef_tail, &t.coef_head)
         } else {
@@ -403,42 +397,24 @@ impl SchemeKernel {
     /// the family each epoch against the combined churn-active ×
     /// crash-live node set, superseding the crash-only repair.
     pub(crate) fn fault_sweep_family(&self) -> Option<(&[Vec<u64>], bool)> {
-        if self.needs_churn_mask() {
+        if !self.churn.is_none() {
             None
         } else {
             self.sweep_family()
         }
     }
 
-    /// The round's active-edge mask (`None` = all edges active),
-    /// generating the random matching into `mg` when the plan calls for
-    /// one. Control-thread only.
-    fn active_mask<'a>(
-        &'a self,
-        round: u64,
-        t: &KernelTables,
-        mg: &'a mut MatchScratch,
-    ) -> Option<&'a [u64]> {
-        match &self.plan {
-            ActivePlan::All => None,
-            ActivePlan::Sweep { masks, .. } => Some(&masks[(round % masks.len() as u64) as usize]),
-            ActivePlan::Random { seed } => {
-                matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                Some(&mg.mask)
-            }
-        }
-    }
-
-    /// The round's *effective* active mask under the fault and churn
-    /// axes: the plan's mask intersected with the churn-active edge set
-    /// (when a flux channel is on) and with the live/undropped edge set
-    /// (when edge faults are on, counting drop and stale events), the
-    /// plain [`SchemeKernel::active_mask`] otherwise. Control-thread
-    /// only; [`FaultState::begin_round`] and [`ChurnState::begin_round`]
-    /// must already have run this round. With churn active, sweep plans
-    /// use the churn state's repaired families (rebuilt each epoch
-    /// against the combined churn-active × crash-live node set), which
-    /// supersede the fault state's crash-only repairs.
+    /// The round's *effective* active mask (`None` = every edge active)
+    /// with the round's stale words: the plan's mask (generating the
+    /// random matching into `mg` when the plan draws one), intersected
+    /// with the churn-active edge set when a flux channel is on and with
+    /// the live/undropped edge set when edge faults are on (counting drop
+    /// and stale events). Control-thread only; [`FaultState::begin_round`]
+    /// and [`ChurnState::begin_round`] must already have run this round.
+    /// With churn active, sweep plans use the churn state's repaired
+    /// families (rebuilt each epoch against the combined churn-active ×
+    /// crash-live node set), which supersede the fault state's crash-only
+    /// repairs.
     fn round_mask<'a>(
         &'a self,
         round: u64,
@@ -446,88 +422,71 @@ impl SchemeKernel {
         mg: &'a mut MatchScratch,
         fault: &'a mut FaultState,
         churn: &'a mut ChurnState,
-    ) -> Option<&'a [u64]> {
-        let churned = self.needs_churn_mask();
-        if self.faults.has_edge_faults() {
-            let base = match &self.plan {
-                ActivePlan::All => {
-                    if churned {
-                        EffBase::External(churn.active_edge_words())
-                    } else {
-                        EffBase::All
-                    }
-                }
-                ActivePlan::Sweep { masks, .. } => {
-                    let idx = (round % masks.len() as u64) as usize;
-                    if churned {
-                        EffBase::External(churn.repaired_mask(idx))
-                    } else if self.faults.crash.is_some() {
-                        EffBase::Repaired(idx)
-                    } else {
-                        EffBase::External(&masks[idx])
-                    }
-                }
-                ActivePlan::Random { seed } => {
-                    matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                    if churned {
-                        EffBase::External(churn.compose(&mg.mask, t.m))
-                    } else {
-                        EffBase::External(&mg.mask)
-                    }
-                }
-            };
-            return Some(fault.compose_eff(&self.faults, t.m, base));
-        }
-        if churned {
-            let mask = match &self.plan {
-                ActivePlan::All => churn.active_edge_words(),
-                ActivePlan::Sweep { masks, .. } => {
-                    churn.repaired_mask((round % masks.len() as u64) as usize)
-                }
-                ActivePlan::Random { seed } => {
-                    matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                    churn.compose(&mg.mask, t.m)
-                }
-            };
-            if self.faults.stale.is_some() {
-                fault.count_stale(Some(mask), t.m);
+    ) -> (Option<&'a [u64]>, Option<&'a [u64]>) {
+        let churned = !self.churn.is_none();
+        let staled = self.faults.stale.is_some();
+        let mut sweep_idx = None;
+        let mask = match &self.plan {
+            ActivePlan::All => churned.then(|| churn.active_edge_words()),
+            ActivePlan::Sweep { masks, .. } => {
+                let idx = (round % masks.len() as u64) as usize;
+                sweep_idx = Some(idx);
+                Some(if churned {
+                    churn.repaired_mask(idx)
+                } else {
+                    &masks[idx][..]
+                })
             }
-            return Some(mask);
+            ActivePlan::Random { seed } => {
+                matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
+                Some(if churned {
+                    churn.compose(&mg.mask, t.m)
+                } else {
+                    &mg.mask[..]
+                })
+            }
+        };
+        if self.faults.has_edge_faults() {
+            let base = match (sweep_idx, mask) {
+                (Some(idx), _) if !churned && self.faults.crash.is_some() => EffBase::Repaired(idx),
+                (_, Some(words)) => EffBase::External(words),
+                (_, None) => EffBase::All,
+            };
+            let (mask, stale) = fault.compose_eff(&self.faults, t.m, base);
+            return (Some(mask), staled.then_some(stale));
         }
-        let mask = self.active_mask(round, t, mg);
-        if self.faults.stale.is_some() {
+        if staled {
             fault.count_stale(mask, t.m);
         }
-        mask
+        (mask, staled.then_some(&fault.stale[..]))
     }
 
-    /// Pool-mode round preparation, run by the control thread *before*
-    /// the round's first barrier: advances the fault state (epoch churn,
-    /// drop/stale draws, load shocks applied through the job's atomics —
-    /// exclusive, the workers are parked), generates the random matching
-    /// (if the plan draws one), and publishes the round's effective mask
-    /// and stale words. Fault-free sweep plans need no publication —
-    /// workers index the kernel's immutable masks directly.
-    #[allow(clippy::too_many_arguments)] // the job's full shared state, flat by design
-    pub fn prepare_pooled<LI: BufI64, LF: BufF64>(
-        &self,
+    /// The control-thread half of a round, run before any participant
+    /// starts it (on the pool: before the round's first barrier, with
+    /// the workers parked): advances the fault state (epoch crashes,
+    /// drop/stale draws, the load shock), the churn state (transitions
+    /// and handoff deltas, after the fault epoch so repairs see the
+    /// current crash-live set) and the load plan (deltas land before the
+    /// flow pass), then builds the round's effective mask. `loads_i` /
+    /// `loads_f` are the simulation's loads; the one the mode does not
+    /// use is empty.
+    pub fn prepare_round<'s, LI: BufI64, LF: BufF64>(
+        &'s self,
         t: &KernelTables,
         graph: &Graph,
         round: u64,
-        scratch: &mut RoundScratch,
+        scratch: &'s mut RoundScratch,
         loads_i: &LI,
         loads_f: &LF,
-        mask_out: &[AtomicU64],
-        stale_out: &[AtomicU64],
-    ) {
+    ) -> PreparedRound<'s> {
         let RoundScratch {
+            fw,
             matchgen,
             fault,
             load,
             churn,
-            ..
         } = scratch;
-        let discrete = loads_f.elems().is_empty();
+        let discrete = !matches!(self.flow, FlowPass::Continuous);
         if !self.faults.is_none() {
             fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
             if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, t.n) {
@@ -549,39 +508,19 @@ impl SchemeKernel {
             }
         }
         if !self.churn.is_none() {
-            // Churn transitions and handoff deltas land after the fault
-            // epoch (so repairs see the current crash-live set) and
-            // before load injection, per the round ordering
-            // churn → load inject → flow pass.
             let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
+            let sweep = self.sweep_family();
             if discrete {
-                churn.begin_round(
-                    &self.churn,
-                    graph,
-                    round,
-                    true,
-                    fault_live,
-                    self.sweep_family(),
-                    |i| loads_i.get(i) as f64,
-                );
+                let x = |i| loads_i.get(i) as f64;
+                churn.begin_round(&self.churn, graph, round, true, fault_live, sweep, x);
                 churn.apply_i64(loads_i);
             } else {
-                churn.begin_round(
-                    &self.churn,
-                    graph,
-                    round,
-                    false,
-                    fault_live,
-                    self.sweep_family(),
-                    |i| loads_f.get(i),
-                );
+                let x = |i| loads_f.get(i);
+                churn.begin_round(&self.churn, graph, round, false, fault_live, sweep, x);
                 churn.apply_f64(loads_f);
             }
         }
         if !self.loads.is_none() {
-            // Load deltas land before the flow pass and before the first
-            // barrier (workers parked), same as the shock channel, so
-            // both executors balance identical per-round loads.
             if discrete {
                 load.plan_round(&self.loads, round, t.n, true, |i| loads_i.get(i) as f64);
                 load.apply_i64(loads_i);
@@ -590,33 +529,15 @@ impl SchemeKernel {
                 load.apply_f64(loads_f);
             }
         }
-        let publish =
-            self.needs_random_mask() || self.needs_fault_mask() || self.needs_churn_mask();
-        if let Some(mask) = self.round_mask(round, t, matchgen, fault, churn) {
-            if publish {
-                for (word, &w) in mask_out.iter().zip(mask) {
-                    word.store(w, Relaxed);
-                }
-            }
-        }
-        if self.faults.stale.is_some() {
-            for (word, &w) in stale_out.iter().zip(&fault.stale) {
-                word.store(w, Relaxed);
-            }
-        }
+        let (mask, stale) = self.round_mask(round, t, matchgen, fault, churn);
+        PreparedRound { mask, stale, fw }
     }
 
-    /// One full sequential round in discrete mode; returns the round's
-    /// fused load statistics (minimum transient load plus the post-round
-    /// min/max/deviation reduction of the apply pass).
-    ///
-    /// Generic over the load/flow buffer handles so `mem=full`
-    /// monomorphizes to the exact pre-compact code (Cell-backed `i64` /
-    /// `f64` slices) while `mem=compact` threads its `i32`/`f32` twins
-    /// through the same phase sequence; all arithmetic stays `f64` in
-    /// both instantiations.
+    /// One whole round on the calling thread: [`SchemeKernel::prepare_round`],
+    /// then [`SchemeKernel::run_phases`] over every edge and node with a
+    /// no-op phase sync. Returns the round's fused load statistics.
     #[allow(clippy::too_many_arguments)] // the engine's full round state, flat by design
-    pub fn run_discrete_seq<L: BufI64, P: BufF64, F: BufI64, A: BufF64>(
+    pub fn run_inline<LI, LF, P, F, A, B>(
         &self,
         t: &KernelTables,
         graph: &Graph,
@@ -624,313 +545,8 @@ impl SchemeKernel {
         gain: f64,
         round: u64,
         flow_memory: FlowMemory,
-        loads: &L,
-        prev: &P,
-        flows: &F,
-        arc_frac: &A,
+        bufs: &RoundBufs<LI, LF, P, F, A, B>,
         scratch: &mut RoundScratch,
-    ) -> LoadStats {
-        let (n, m) = (t.n, t.m);
-        let RoundScratch {
-            fw,
-            matchgen,
-            block_sums,
-            fault,
-            load,
-            churn,
-        } = scratch;
-        if !self.faults.is_none() {
-            fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
-            if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, n) {
-                let amt = loads.get(donor) / 4;
-                if amt != 0 {
-                    loads.set(donor, loads.get(donor) - amt);
-                    loads.set(hotspot, loads.get(hotspot) + amt);
-                    fault.events.shocks += 1;
-                }
-            }
-        }
-        if !self.churn.is_none() {
-            let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
-            churn.begin_round(
-                &self.churn,
-                graph,
-                round,
-                true,
-                fault_live,
-                self.sweep_family(),
-                |i| loads.get(i) as f64,
-            );
-            churn.apply_i64(loads);
-        }
-        if !self.loads.is_none() {
-            load.plan_round(&self.loads, round, n, true, |i| loads.get(i) as f64);
-            load.apply_i64(loads);
-        }
-        let mask = self.round_mask(round, t, matchgen, fault, churn);
-        match self.flow {
-            FlowPass::EdgeLocal(rounding) => match mask {
-                None => kernel::edge_pass_fused(
-                    t,
-                    0..m,
-                    mem,
-                    gain,
-                    round,
-                    rounding,
-                    flow_memory,
-                    |i| loads.get(i) as f64,
-                    prev,
-                    flows,
-                ),
-                Some(words) => {
-                    let (ct, ch) = self.masked_coefs(t);
-                    kernel::edge_pass_fused_masked(
-                        t,
-                        ct,
-                        ch,
-                        0..m,
-                        |w| words[w],
-                        mem,
-                        gain,
-                        round,
-                        rounding,
-                        flow_memory,
-                        |i| loads.get(i) as f64,
-                        prev,
-                        flows,
-                    )
-                }
-            },
-            FlowPass::Framework { seed } => {
-                match mask {
-                    None => kernel::edge_pass_scatter(
-                        t,
-                        0..m,
-                        mem,
-                        gain,
-                        flow_memory,
-                        |i| loads.get(i) as f64,
-                        arc_frac,
-                        flows,
-                        prev,
-                    ),
-                    Some(words) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_scatter_masked(
-                            t,
-                            ct,
-                            ch,
-                            0..m,
-                            |w| words[w],
-                            mem,
-                            gain,
-                            flow_memory,
-                            |i| loads.get(i) as f64,
-                            arc_frac,
-                            flows,
-                            prev,
-                        )
-                    }
-                }
-                kernel::arc_round_streamed(t, 0..n, seed, round, arc_frac, flows, fw);
-                if matches!(flow_memory, FlowMemory::Rounded) {
-                    kernel::prev_from_flows(0..m, flows, prev);
-                }
-            }
-            FlowPass::Continuous => unreachable!("continuous flow pass on discrete state"),
-        }
-        let blocks = kernel::dev_blocks(n);
-        block_sums.resize(blocks, 0.0);
-        let mut stats = if self.faults.stale.is_some() {
-            // Lossy apply: the flow was computed and recorded in the
-            // flow memory above, but a stale edge's tokens never land.
-            let stale: &[u64] = &fault.stale;
-            kernel::apply_discrete(
-                t,
-                0..n,
-                |e| flows.get(e) * (((stale[e >> 6] >> (e & 63)) & 1) ^ 1) as i64,
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        } else {
-            kernel::apply_discrete(
-                t,
-                0..n,
-                |e| flows.get(e),
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        };
-        stats.sum_sq_dev = kernel::fold_block_sums(blocks, &kernel::cells_f64(block_sums));
-        stats
-    }
-
-    /// One full sequential round in continuous mode; returns the round's
-    /// fused load statistics. Generic over the load/flow buffer handles
-    /// like [`SchemeKernel::run_discrete_seq`].
-    #[allow(clippy::too_many_arguments)] // the engine's full round state, flat by design
-    pub fn run_continuous_seq<LF: BufF64, P: BufF64>(
-        &self,
-        t: &KernelTables,
-        graph: &Graph,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        loads: &LF,
-        prev: &P,
-        scratch: &mut RoundScratch,
-    ) -> LoadStats {
-        let (n, m) = (t.n, t.m);
-        let RoundScratch {
-            matchgen,
-            block_sums,
-            fault,
-            load,
-            churn,
-            ..
-        } = scratch;
-        if !self.faults.is_none() {
-            fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
-            if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, n) {
-                let amt = loads.get(donor) / 4.0;
-                if amt != 0.0 {
-                    loads.set(donor, loads.get(donor) - amt);
-                    loads.set(hotspot, loads.get(hotspot) + amt);
-                    fault.events.shocks += 1;
-                }
-            }
-        }
-        if !self.churn.is_none() {
-            let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
-            churn.begin_round(
-                &self.churn,
-                graph,
-                round,
-                false,
-                fault_live,
-                self.sweep_family(),
-                |i| loads.get(i),
-            );
-            churn.apply_f64(loads);
-        }
-        if !self.loads.is_none() {
-            load.plan_round(&self.loads, round, n, false, |i| loads.get(i));
-            load.apply_f64(loads);
-        }
-        let mask = self.round_mask(round, t, matchgen, fault, churn);
-        match mask {
-            None => kernel::edge_pass_continuous(t, 0..m, mem, gain, |i| loads.get(i), prev),
-            Some(words) => {
-                let (ct, ch) = self.masked_coefs(t);
-                kernel::edge_pass_continuous_masked(
-                    t,
-                    ct,
-                    ch,
-                    0..m,
-                    |w| words[w],
-                    mem,
-                    gain,
-                    |i| loads.get(i),
-                    prev,
-                )
-            }
-        }
-        let blocks = kernel::dev_blocks(n);
-        block_sums.resize(blocks, 0.0);
-        let mut stats = if self.faults.stale.is_some() {
-            let stale: &[u64] = &fault.stale;
-            kernel::apply_continuous(
-                t,
-                0..n,
-                |e| {
-                    if (stale[e >> 6] >> (e & 63)) & 1 == 1 {
-                        0.0
-                    } else {
-                        prev.get(e)
-                    }
-                },
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        } else {
-            kernel::apply_continuous(
-                t,
-                0..n,
-                |e| prev.get(e),
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        };
-        stats.sum_sq_dev = kernel::fold_block_sums(blocks, &kernel::cells_f64(block_sums));
-        stats
-    }
-
-    /// One pool participant's share of a round: the same kernel calls as
-    /// the sequential methods, separated by `barrier` between phases
-    /// (one internal barrier for the edge-local and continuous passes,
-    /// two for the framework pipeline — the flow-memory copy shares the
-    /// apply pass's interval). Returns the chunk's fused load
-    /// statistics.
-    #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    pub fn run_chunk<LI: BufI64, LF: BufF64, P: BufF64, F: BufI64, A: BufF64>(
-        &self,
-        t: &KernelTables,
-        barrier: &Barrier,
-        edges: Range<usize>,
-        nodes: Range<usize>,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_, LI, LF, P, F, A>,
-        scratch: &mut FwScratch,
-    ) -> LoadStats {
-        if self.needs_stale_mask() {
-            self.run_chunk_inner(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                Some(|w: usize| bufs.stale[w].load(Relaxed)),
-            )
-        } else {
-            self.run_chunk_inner(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                None::<fn(usize) -> u64>,
-            )
-        }
-    }
-
-    /// [`SchemeKernel::run_chunk`] monomorphized per stale-mask source.
-    #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    fn run_chunk_inner<LI, LF, P, F, A, SF>(
-        &self,
-        t: &KernelTables,
-        barrier: &Barrier,
-        edges: Range<usize>,
-        nodes: Range<usize>,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_, LI, LF, P, F, A>,
-        scratch: &mut FwScratch,
-        stale: Option<SF>,
     ) -> LoadStats
     where
         LI: BufI64,
@@ -938,47 +554,68 @@ impl SchemeKernel {
         P: BufF64,
         F: BufI64,
         A: BufF64,
-        SF: Fn(usize) -> u64,
+        B: BufF64,
     {
-        if self.needs_fault_mask() || self.needs_churn_mask() {
-            // Edge faults and topology churn route *every* plan through
-            // the effective mask the control thread published for the
-            // round.
-            return self.chunk_phases(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                Some(|w: usize| bufs.mask[w].load(Relaxed)),
-                stale,
-            );
-        }
-        match &self.plan {
-            ActivePlan::All => self.chunk_phases(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                None::<fn(usize) -> u64>,
-                stale,
-            ),
-            ActivePlan::Sweep { masks, .. } => {
-                let words = &masks[(round % masks.len() as u64) as usize];
-                self.chunk_phases(
+        let prep = self.prepare_round(t, graph, round, scratch, &bufs.loads_i, &bufs.loads_f);
+        let mut stats = self.run_phases(
+            t,
+            || {},
+            0..t.m,
+            0..t.n,
+            mem,
+            gain,
+            round,
+            flow_memory,
+            bufs,
+            prep.mask.map(|words| move |w: usize| words[w]),
+            prep.stale.map(|words| move |w: usize| words[w]),
+            prep.fw,
+        );
+        stats.sum_sq_dev = kernel::fold_block_sums(kernel::dev_blocks(t.n), &bufs.block_sums);
+        stats
+    }
+
+    /// One participant's share of a round: the edge pass over `edges`,
+    /// the rounding and apply passes over `nodes`, with `sync` between
+    /// phases (one sync for the edge-local and continuous passes, two for
+    /// the framework pipeline — the flow-memory copy shares the apply
+    /// pass's interval). `mask` and `stale` read word `w` of the round's
+    /// active-edge and stale-edge sets (`None`: every edge active, none
+    /// stale). Returns the chunk's fused load statistics; the caller
+    /// folds `bufs.block_sums` into `sum_sq_dev`.
+    #[allow(clippy::too_many_arguments)] // one participant's full round context
+    pub fn run_phases<LI, LF, P, F, A, B, MW, SW>(
+        &self,
+        t: &KernelTables,
+        sync: impl Fn(),
+        edges: Range<usize>,
+        nodes: Range<usize>,
+        mem: f64,
+        gain: f64,
+        round: u64,
+        flow_memory: FlowMemory,
+        bufs: &RoundBufs<LI, LF, P, F, A, B>,
+        mask: Option<MW>,
+        stale: Option<SW>,
+        scratch: &mut FwScratch,
+    ) -> LoadStats
+    where
+        LI: BufI64,
+        LF: BufF64,
+        P: BufF64,
+        F: BufI64,
+        A: BufF64,
+        B: BufF64,
+        MW: Fn(usize) -> u64,
+        SW: Fn(usize) -> u64,
+    {
+        // Monomorphize the phase sequence per edge source, so an unmasked
+        // diffusion round compiles to the plain unmasked loops.
+        macro_rules! phases {
+            ($active:expr, $stale:expr) => {
+                self.phases(
                     t,
-                    barrier,
+                    sync,
                     edges,
                     nodes,
                     mem,
@@ -986,46 +623,46 @@ impl SchemeKernel {
                     round,
                     flow_memory,
                     bufs,
+                    $active,
+                    $stale,
                     scratch,
-                    Some(|w: usize| words[w]),
-                    stale,
                 )
-            }
-            ActivePlan::Random { .. } => self.chunk_phases(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                Some(|w: usize| bufs.mask[w].load(Relaxed)),
-                stale,
-            ),
+            };
+        }
+        match (mask, stale) {
+            (None, None) => phases!(kernel::all_edges, kernel::no_edges),
+            (Some(m), None) => phases!(edge_bits(m), kernel::no_edges),
+            (None, Some(s)) => phases!(kernel::all_edges, edge_bits(s)),
+            (Some(m), Some(s)) => phases!(edge_bits(m), edge_bits(s)),
         }
     }
 
-    /// The phase sequence of one chunk, monomorphized per mask source so
-    /// the all-edges diffusion paths keep their original unmasked
-    /// codegen.
-    #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    fn chunk_phases<LI, LF, P, F, A, MF, SF>(
+    /// The phase sequence of [`SchemeKernel::run_phases`] over per-edge
+    /// bit sources: `active(e)` is `1` for an edge that carries flow this
+    /// round, `stale(e)` is `1` for an edge whose flow is lost in the
+    /// apply pass.
+    ///
+    /// Kept out of line: each instance is called once, so the optimizer
+    /// would otherwise fold all four edge-source instances into one
+    /// ~70 KB `run_phases` body, which ran the benchmark's `paper_sweep`
+    /// rounds 10–13% slower (medians of two five-pair runs on a 2-core
+    /// Xeon; out of line: 1% faster than before the merge).
+    #[allow(clippy::too_many_arguments)] // one participant's full round context
+    #[inline(never)]
+    fn phases<LI, LF, P, F, A, B>(
         &self,
         t: &KernelTables,
-        barrier: &Barrier,
+        sync: impl Fn(),
         edges: Range<usize>,
         nodes: Range<usize>,
         mem: f64,
         gain: f64,
         round: u64,
         flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_, LI, LF, P, F, A>,
+        bufs: &RoundBufs<LI, LF, P, F, A, B>,
+        active: impl Fn(usize) -> u64,
+        stale: impl Fn(usize) -> u64,
         scratch: &mut FwScratch,
-        mask: Option<MF>,
-        stale: Option<SF>,
     ) -> LoadStats
     where
         LI: BufI64,
@@ -1033,176 +670,73 @@ impl SchemeKernel {
         P: BufF64,
         F: BufI64,
         A: BufF64,
-        MF: Fn(usize) -> u64,
-        SF: Fn(usize) -> u64,
+        B: BufF64,
     {
-        let prev = &bufs.prev;
-        let flows = &bufs.flows;
+        let (ct, ch) = self.coefs(t);
+        let RoundBufs {
+            loads_i,
+            loads_f,
+            prev,
+            arc_frac,
+            flows,
+            block_sums,
+        } = bufs;
+        // Lossy apply: a stale edge's flow was computed and recorded in
+        // the flow memory, but its tokens never land.
+        let applied_i = |e: usize| flows.get(e) * (stale(e) ^ 1) as i64;
+        let x_i = |i| loads_i.get(i) as f64;
         match self.flow {
             FlowPass::EdgeLocal(rounding) => {
-                match &mask {
-                    None => kernel::edge_pass_fused(
-                        t,
-                        edges,
-                        mem,
-                        gain,
-                        round,
-                        rounding,
-                        flow_memory,
-                        |i| bufs.loads_i.get(i) as f64,
-                        prev,
-                        flows,
-                    ),
-                    Some(mf) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_fused_masked(
-                            t,
-                            ct,
-                            ch,
-                            edges,
-                            mf,
-                            mem,
-                            gain,
-                            round,
-                            rounding,
-                            flow_memory,
-                            |i| bufs.loads_i.get(i) as f64,
-                            prev,
-                            flows,
-                        )
-                    }
-                }
-                barrier.wait();
-                match &stale {
-                    None => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e),
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                    Some(sf) => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e) * (((sf(e >> 6) >> (e & 63)) & 1) ^ 1) as i64,
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                }
+                kernel::edge_pass_fused(
+                    t,
+                    ct,
+                    ch,
+                    edges,
+                    active,
+                    mem,
+                    gain,
+                    round,
+                    rounding,
+                    flow_memory,
+                    x_i,
+                    prev,
+                    flows,
+                );
+                sync();
+                kernel::apply_discrete(t, nodes, applied_i, loads_i, block_sums)
             }
             FlowPass::Framework { seed } => {
-                match &mask {
-                    None => kernel::edge_pass_scatter(
-                        t,
-                        edges.clone(),
-                        mem,
-                        gain,
-                        flow_memory,
-                        |i| bufs.loads_i.get(i) as f64,
-                        &bufs.arc_frac,
-                        flows,
-                        prev,
-                    ),
-                    Some(mf) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_scatter_masked(
-                            t,
-                            ct,
-                            ch,
-                            edges.clone(),
-                            mf,
-                            mem,
-                            gain,
-                            flow_memory,
-                            |i| bufs.loads_i.get(i) as f64,
-                            &bufs.arc_frac,
-                            flows,
-                            prev,
-                        )
-                    }
-                }
-                barrier.wait();
-                kernel::arc_round_streamed(
+                kernel::edge_pass_scatter_with(
                     t,
-                    nodes.clone(),
-                    seed,
-                    round,
-                    &bufs.arc_frac,
+                    ct,
+                    ch,
+                    edges.clone(),
+                    active,
+                    mem,
+                    gain,
+                    flow_memory,
+                    x_i,
+                    arc_frac,
                     flows,
-                    scratch,
+                    prev,
                 );
-                barrier.wait();
-                // Same barrier interval as the apply pass: both only read
+                sync();
+                kernel::arc_round_streamed(t, nodes.clone(), seed, round, arc_frac, flows, scratch);
+                sync();
+                // Same phase interval as the apply pass: both only read
                 // the flows (the copy writes `prev`, the apply writes
                 // `loads` — disjoint).
                 if matches!(flow_memory, FlowMemory::Rounded) {
                     kernel::prev_from_flows(edges, flows, prev);
                 }
-                match &stale {
-                    None => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e),
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                    Some(sf) => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e) * (((sf(e >> 6) >> (e & 63)) & 1) ^ 1) as i64,
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                }
+                kernel::apply_discrete(t, nodes, applied_i, loads_i, block_sums)
             }
             FlowPass::Continuous => {
-                match &mask {
-                    None => kernel::edge_pass_continuous(
-                        t,
-                        edges,
-                        mem,
-                        gain,
-                        |i| bufs.loads_f.get(i),
-                        prev,
-                    ),
-                    Some(mf) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_continuous_masked(
-                            t,
-                            ct,
-                            ch,
-                            edges,
-                            mf,
-                            mem,
-                            gain,
-                            |i| bufs.loads_f.get(i),
-                            prev,
-                        )
-                    }
-                }
-                barrier.wait();
-                match &stale {
-                    None => kernel::apply_continuous(
-                        t,
-                        nodes,
-                        |e| bufs.prev.get(e),
-                        &bufs.loads_f,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                    Some(sf) => kernel::apply_continuous(
-                        t,
-                        nodes,
-                        |e| {
-                            if (sf(e >> 6) >> (e & 63)) & 1 == 1 {
-                                0.0
-                            } else {
-                                bufs.prev.get(e)
-                            }
-                        },
-                        &bufs.loads_f,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                }
+                let x = |i| loads_f.get(i);
+                kernel::edge_pass_continuous(t, ct, ch, edges, active, mem, gain, x, prev);
+                sync();
+                let applied = |e: usize| if stale(e) == 1 { 0.0 } else { prev.get(e) };
+                kernel::apply_continuous(t, nodes, applied, loads_f, block_sums)
             }
         }
     }
@@ -1215,6 +749,31 @@ mod tests {
 
     fn tables(graph: &Graph) -> KernelTables {
         KernelTables::new(graph, &Speeds::uniform(graph.node_count()), false, 0.0)
+    }
+
+    /// One inline discrete round (`mem = 0`, `gain = 1`, rounded flow
+    /// memory) over plain vectors.
+    #[allow(clippy::too_many_arguments)] // the round's full state, flat
+    fn discrete_round(
+        k: &SchemeKernel,
+        t: &KernelTables,
+        g: &Graph,
+        round: u64,
+        loads: &mut [i64],
+        prev: &mut [f64],
+        flows: &mut [i64],
+        scratch: &mut RoundScratch,
+    ) -> LoadStats {
+        let mut block_sums = vec![0.0; kernel::dev_blocks(t.n)];
+        let bufs = RoundBufs {
+            loads_i: kernel::cells_i64(loads),
+            loads_f: kernel::CellsF64(&[]),
+            prev: kernel::cells_f64(prev),
+            arc_frac: kernel::CellsF64(&[]),
+            flows: kernel::cells_i64(flows),
+            block_sums: kernel::cells_f64(&mut block_sums),
+        };
+        k.run_inline(t, g, 0.0, 1.0, round, FlowMemory::Rounded, &bufs, scratch)
     }
 
     #[test]
@@ -1305,17 +864,14 @@ mod tests {
         let mut prev = vec![0.0f64; 1];
         let mut flows = vec![0i64; 1];
         let mut scratch = RoundScratch::new();
-        let stats = k.run_discrete_seq(
+        let stats = discrete_round(
+            &k,
             &t,
             &g,
-            0.0,
-            1.0,
             0,
-            FlowMemory::Rounded,
-            &kernel::cells_i64(&mut loads),
-            &kernel::cells_f64(&mut prev),
-            &kernel::cells_i64(&mut flows),
-            &kernel::cells_f64(&mut []),
+            &mut loads,
+            &mut prev,
+            &mut flows,
             &mut scratch,
         );
         assert_eq!(loads, vec![5, 5]);
@@ -1346,17 +902,14 @@ mod tests {
         let mut flows = vec![0i64; 4];
         let mut scratch = RoundScratch::new();
         for round in 0..2 {
-            k.run_discrete_seq(
+            discrete_round(
+                &k,
                 &t,
                 &g,
-                0.0,
-                1.0,
                 round,
-                FlowMemory::Rounded,
-                &kernel::cells_i64(&mut loads),
-                &kernel::cells_f64(&mut prev),
-                &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut []),
+                &mut loads,
+                &mut prev,
+                &mut flows,
                 &mut scratch,
             );
             let ActivePlan::Sweep { masks, .. } = &k.plan else {
@@ -1400,17 +953,14 @@ mod tests {
         let mut flows = vec![0i64; t.m];
         let mut scratch = RoundScratch::new();
         for round in 0..crate::fault::EPOCH_LEN {
-            k.run_discrete_seq(
+            discrete_round(
+                &k,
                 &t,
                 &g,
-                0.0,
-                1.0,
                 round,
-                FlowMemory::Rounded,
-                &kernel::cells_i64(&mut loads),
-                &kernel::cells_f64(&mut prev),
-                &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut []),
+                &mut loads,
+                &mut prev,
+                &mut flows,
                 &mut scratch,
             );
             assert_eq!(loads.iter().sum::<i64>(), total, "round {round}");

@@ -9,10 +9,23 @@ use sodiff::prelude::*;
 use sodiff::ScenarioSpec;
 
 fn faulted_sim(g: &sodiff::graph::Graph, faults: FaultSpec, threads: usize) -> Simulator<'_> {
+    faulted_sim_in(g, Mode::Discrete(Rounding::nearest()), faults, threads)
+}
+
+/// [`faulted_sim`] in the given mode.
+fn faulted_sim_in(
+    g: &sodiff::graph::Graph,
+    mode: Mode,
+    faults: FaultSpec,
+    threads: usize,
+) -> Simulator<'_> {
     let n = g.node_count();
-    Experiment::on(g)
-        .discrete(Rounding::nearest())
-        .sos(1.7)
+    let e = Experiment::on(g);
+    let e = match mode {
+        Mode::Continuous => e.continuous(),
+        Mode::Discrete(rounding) => e.discrete(rounding),
+    };
+    e.sos(1.7)
         .threads(threads)
         .init(InitialLoad::point(0, (n * 100) as i64))
         .faults(faults)
@@ -22,9 +35,9 @@ fn faulted_sim(g: &sodiff::graph::Graph, faults: FaultSpec, threads: usize) -> S
 }
 
 /// Any faulted run is bit-identical sequential vs pooled across thread
-/// counts: fault masks, crash schedules, shocks, and stale drops are all
-/// drawn from counter-indexed streams on the control thread, so the
-/// executor cannot influence them.
+/// counts, in discrete and continuous mode alike: fault masks, crash
+/// schedules, shocks, and stale drops are all drawn from counter-indexed
+/// streams on the control thread, so the executor cannot influence them.
 #[test]
 fn faulted_runs_are_bit_identical_across_executors() {
     let g = generators::torus2d(6, 6);
@@ -39,30 +52,38 @@ fn faulted_runs_are_bit_identical_across_executors() {
             .with_shock(0.1, 3)
             .with_stale(0.1, 4),
     ];
-    for faults in combos {
-        let mut reference = faulted_sim(&g, faults, 1);
+    let modes = [Mode::Discrete(Rounding::nearest()), Mode::Continuous];
+    for (mode, faults) in modes
+        .into_iter()
+        .flat_map(|mode| combos.map(|faults| (mode, faults)))
+    {
+        let mut reference = faulted_sim_in(&g, mode, faults, 1);
         for _ in 0..48 {
             reference.step();
         }
         for threads in [2usize, 3, 5] {
-            let mut sim = faulted_sim(&g, faults, threads);
+            let mut sim = faulted_sim_in(&g, mode, faults, threads);
             for _ in 0..48 {
                 sim.step();
             }
+            // Bit patterns, so continuous loads compare exactly.
+            let bits = |s: &Simulator<'_>| -> Vec<u64> {
+                s.loads_to_f64().iter().map(|x| x.to_bits()).collect()
+            };
             assert_eq!(
-                sim.loads_i64().unwrap(),
-                reference.loads_i64().unwrap(),
-                "{faults} loads diverged at {threads} threads"
+                bits(&sim),
+                bits(&reference),
+                "{mode:?} {faults} loads diverged at {threads} threads"
             );
             assert_eq!(
                 sim.previous_flows(),
                 reference.previous_flows(),
-                "{faults} flow memory diverged at {threads} threads"
+                "{mode:?} {faults} flow memory diverged at {threads} threads"
             );
             assert_eq!(
                 sim.fault_events(),
                 reference.fault_events(),
-                "{faults} event counts diverged at {threads} threads"
+                "{mode:?} {faults} event counts diverged at {threads} threads"
             );
         }
     }
@@ -210,6 +231,31 @@ fn batch_survives_panicking_scenario() {
         assert_eq!((err.index, err.line), (1, Some(2)));
         assert!(matches!(&err.error, ScenarioFailure::Panicked(msg) if msg.contains("crash")));
     }
+}
+
+/// `sos_opt` on a disconnected graph (mean degree ≈ 1) is a typed build
+/// failure, attempted once: a deterministic error is not retried as if it
+/// were a crash.
+#[test]
+fn sos_opt_on_a_disconnected_graph_fails_typed_without_retries() {
+    let specs = ScenarioSpec::parse_many(
+        "name=sparse topology=erdos_renyi:2000:0.0005:3 scheme=sos_opt stop=rounds:5",
+    )
+    .unwrap();
+    let batch = Driver::new().retries(3).run_batch(&specs);
+    assert!(batch.scenarios.is_empty());
+    assert_eq!(batch.errors.len(), 1);
+    let err = &batch.errors[0];
+    assert_eq!(err.attempts, 1, "a build error must not be retried");
+    assert!(
+        matches!(
+            &err.error,
+            ScenarioFailure::Build(BuildError::Scenario { source, .. })
+                if matches!(**source, BuildError::Disconnected(_))
+        ),
+        "expected a typed Disconnected build error, got {:?}",
+        err.error
+    );
 }
 
 /// A run that completes with non-finite loads is reported as

@@ -319,3 +319,128 @@ fn regular_matching_random_heterogeneous() {
         run_and_check("regular_matching_random", 0x7cbb471521179a82, sim, 80);
     }
 }
+
+// ---------------------------------------------------------------------
+// Continuous pairwise schemes, the stale fault channel in both modes,
+// and per-edge unbiased rounding under a round-robin matching plan. The
+// one-thread and pooled executors share one round body, so a
+// sequential == pooled check cannot catch a bug in it; these checksums
+// can.
+// ---------------------------------------------------------------------
+
+/// [`state_checksum`] for continuous runs: the `f64` load bits instead
+/// of the integer tokens.
+fn continuous_checksum(sim: &Simulator<'_>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for &x in sim.loads_f64().expect("continuous run") {
+        eat(&x.to_bits().to_le_bytes());
+    }
+    for &f in sim.previous_flows() {
+        eat(&f.to_bits().to_le_bytes());
+    }
+    eat(&sim.min_transient_load().to_bits().to_le_bytes());
+    h
+}
+
+fn run_and_check_continuous(name: &str, expected: u64, mut sim: Simulator<'_>, rounds: usize) {
+    for _ in 0..rounds {
+        sim.step();
+    }
+    assert_eq!(
+        continuous_checksum(&sim),
+        expected,
+        "{name}: golden trace diverged from the pinned implementation"
+    );
+}
+
+#[test]
+fn torus_continuous_dimension_exchange() {
+    let g = generators::torus2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .continuous()
+            .scheme(Scheme::dimension_exchange(0.75))
+            .speeds(Speeds::linear_ramp(64, 3.0))
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_continuous("torus_continuous_de", 0x7ae84e7fe4374433, sim, 60);
+    }
+}
+
+#[test]
+fn regular_continuous_matching_random() {
+    let g = generators::random_regular(60, 4, 2).unwrap();
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .continuous()
+            .scheme(Scheme::matching_random(7, 1.0))
+            .threads(threads)
+            .init(InitialLoad::point(0, 60_000))
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_continuous(
+            "regular_continuous_matching_random",
+            0xfcfd00c65d824ddd,
+            sim,
+            80,
+        );
+    }
+}
+
+#[test]
+fn torus_sos_stale_discrete() {
+    let g = generators::torus2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .discrete(Rounding::randomized(5))
+            .sos(1.7)
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(FaultSpec::none().with_stale(0.2, 3))
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check("torus_sos_stale_discrete", 0xbdaf3e91408686b6, sim, 64);
+    }
+}
+
+#[test]
+fn torus_sos_stale_continuous() {
+    let g = generators::torus2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .continuous()
+            .sos(1.7)
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(FaultSpec::none().with_stale(0.2, 3))
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_continuous("torus_sos_stale_continuous", 0x4ac42bf29c7df0c3, sim, 64);
+    }
+}
+
+#[test]
+fn cycle_matching_round_robin_unbiased_edge() {
+    let g = generators::cycle(17);
+    for threads in [1, 3] {
+        let sim = pairwise_sim(
+            &g,
+            Scheme::matching_round_robin(1.0),
+            Rounding::unbiased_edge(21),
+            threads,
+        );
+        run_and_check("cycle_matching_rr_unbiased", 0x256dc64b9b42941c, sim, 45);
+    }
+}
