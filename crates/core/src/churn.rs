@@ -1,38 +1,36 @@
 //! Deterministic live-topology churn: machines joining and leaving the
 //! network mid-run, with conservation-exact load handoff.
 //!
-//! Where the crash channel of [`crate::fault`] *freezes* a node inside a
-//! static graph (its load stays put and returns with it on rejoin),
-//! churn makes membership itself dynamic over a **reserved capacity**:
-//! the graph's `n` node slots are the cluster's maximum size, and a
+//! Churn makes membership dynamic over a **reserved capacity**: the
+//! graph's `n` node slots are the cluster's maximum size, and a
 //! [`sodiff_graph::ActiveSet`] overlay tracks which slots currently hold
-//! a machine. The CSR arrays never change — a departed slot's incident
-//! edges are masked out of every flow pass, and dimension-exchange /
-//! matching schedules are repaired incrementally
-//! ([`sodiff_graph::matching::repair_matching`], whose greedy-extension
-//! half [`sodiff_graph::matching::extend_matching`] covers the *join*
-//! direction) instead of recomputed.
+//! a machine. The overlay is one of the two inputs of the epoch's
+//! membership ([`crate::membership`]): a node takes part iff it is
+//! crash-live and churn-active, and the membership masks a
+//! non-participating node's incident edges out of every flow pass and
+//! repairs the dimension-exchange / matching schedules around it. The
+//! CSR arrays never change.
 //!
 //! The single channel, `churn=flux:P_LEAVE:P_JOIN:SEED[:INIT]`, drives a
-//! Markov chain over the active set on the same [`EPOCH_LEN`]-round
-//! epochs as the crash schedule: at each epoch boundary every active
-//! slot departs with probability `P_LEAVE` and every inactive slot
+//! Markov chain over the overlay on the same [`EPOCH_LEN`]-round epochs
+//! as the crash schedule: at each epoch boundary every active slot
+//! departs with probability `P_LEAVE` and every inactive slot
 //! (re)arrives with probability `P_JOIN`, drawn from a counter-indexed
 //! SplitMix64 stream (the [`crate::rng`] design — no serial RNG state,
 //! so sequential and pooled executors see identical churn). Unlike the
-//! memoryless crash redraw, the active set is **history-dependent**:
-//! checkpoints therefore persist the overlay words verbatim (format v2)
-//! and restore never redraws.
+//! memoryless crash redraw, the overlay is **history-dependent**:
+//! checkpoints therefore persist its words verbatim (format v2) and
+//! restore never redraws.
 //!
-//! **Conservation-exact handoff.** A departing machine hands its entire
-//! load to its post-transition active neighbors in adjacency order:
-//! discrete loads split as `⌊L/k⌋` each with the first `L mod k`
-//! neighbors taking one extra token (exact for negative loads via
-//! Euclidean division), continuous loads as `L/k` with the last
-//! neighbor absorbing the floating-point remainder — either way the
-//! deltas sum to exactly `−L`. Only a machine with *no* active neighbor
-//! takes its load out of the system (counted in
-//! [`ChurnEvents::departed`]); an arrival adds the configured `INIT`
+//! **Conservation-exact handoff.** Where a crash freezes a node's load,
+//! a departing machine hands its entire load to its post-transition
+//! churn-active neighbors in adjacency order: discrete loads split as
+//! `⌊L/k⌋` each with the first `L mod k` neighbors taking one extra
+//! token (exact for negative loads via Euclidean division), continuous
+//! loads as `L/k` with the last neighbor absorbing the floating-point
+//! remainder — either way the deltas sum to exactly `−L`. Only a machine
+//! with *no* active neighbor takes its load out of the system (counted
+//! in [`ChurnEvents::departed`]); an arrival adds the configured `INIT`
 //! load (counted in [`ChurnEvents::joined`]). The global invariant every
 //! churned run maintains, every round, is
 //! `total == initial + injected + joined − departed`.
@@ -44,7 +42,7 @@
 //! churn account. A churn re-arrival starts from `INIT` plus whatever
 //! load was parked on the slot while it was empty (shocks and injection
 //! draw targets without consulting the overlay; parked tokens stay in
-//! the total, so the two channels never double-count).
+//! the total, so the two inputs never double-count).
 //!
 //! `churn=none` (the default) takes exactly the pre-churn code paths —
 //! the hook is one predictable branch per round, held within 2% of the
@@ -53,11 +51,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use sodiff_graph::{matching, ActiveSet, Graph};
+use sodiff_graph::{ActiveSet, Graph};
 
 use crate::error::{BuildError, ParseError};
 use crate::fault::EPOCH_LEN;
-use crate::kernel::{BufF64, BufI64};
 use crate::rng::{salted_stream_key, unit_f64};
 
 /// Seed salt of the flux channel's draw stream (decorrelates a seed
@@ -265,63 +262,40 @@ impl ChurnEvents {
 }
 
 /// Control-thread churn state carried between rounds: the activation
-/// overlay (the Markov chain's state), the derived active-edge and
-/// repaired-schedule masks of the current epoch, and the transition's
-/// planned load deltas. Lives in
-/// [`crate::scheme_kernel::RoundScratch`], so the sequential executor
+/// overlay (the Markov chain's state) and the transition scratch. Lives
+/// in [`crate::scheme_kernel::RoundScratch`], so the sequential executor
 /// and the pool's control thread share one code path.
 #[derive(Default)]
 pub(crate) struct ChurnState {
-    /// Epoch whose transition has been applied (`None` before round 0).
-    epoch: Option<u64>,
     /// The activation overlay — persisted verbatim in checkpoints
     /// (history-dependent; never redrawn on restore).
     active: ActiveSet,
-    /// Edges with both endpoints active (churn only; crash liveness is
-    /// composed separately by [`crate::fault::FaultState::compose_eff`]).
-    active_edges: Vec<u64>,
-    /// Per-epoch repaired sweep masks over the combined (churn-active ∧
-    /// crash-live) node set.
-    repaired: Vec<Vec<u64>>,
-    /// Scratch for composing an external mask with the active edges.
-    eff: Vec<u64>,
-    /// Combined live-word scratch for schedule repair.
-    combined: Vec<u64>,
     /// Raw draw scratch for the bulk RNG sweep.
     draws: Vec<u64>,
     /// This epoch's departing slots (transition scratch).
     departing: Vec<u32>,
     /// This epoch's arriving slots (transition scratch).
     arriving: Vec<u32>,
-    /// The transition's load deltas as `(node, delta)` pairs, planned at
-    /// epoch boundaries and consumed by the `apply_*` methods (empty on
-    /// every other round).
-    deltas: Vec<(usize, f64)>,
     /// Accumulated event counters and load accounts.
     pub events: ChurnEvents,
 }
 
 impl ChurnState {
-    /// Per-round control-thread preparation: at epoch boundaries,
-    /// advances the membership Markov chain, plans the
-    /// conservation-exact handoff/arrival deltas (`peek` reads a node's
-    /// current load; only called for departing slots), and re-derives
-    /// the active-edge and repaired-`sweep` masks over the combined
-    /// (churn-active ∧ `fault_live`) node set. Must run after the fault
-    /// block (so `fault_live` is current) and before load injection and
-    /// the flow pass, in both executors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin_round(
+    /// The epoch-boundary transition of the membership Markov chain:
+    /// advances the overlay to `round`'s epoch and pushes the
+    /// conservation-exact handoff and arrival deltas onto `deltas`
+    /// (`peek` reads a node's current load; only called for departing
+    /// slots). Call once per epoch, at its first round, before load
+    /// injection and the flow pass, in both executors.
+    pub fn transition(
         &mut self,
         spec: &ChurnSpec,
         graph: &Graph,
         round: u64,
         discrete: bool,
-        fault_live: Option<&[u64]>,
-        sweep: Option<(&[Vec<u64>], bool)>,
         peek: impl Fn(usize) -> f64,
+        deltas: &mut Vec<(usize, f64)>,
     ) {
-        self.deltas.clear();
         let Some(ChurnChannel {
             leave,
             join,
@@ -331,17 +305,13 @@ impl ChurnState {
         else {
             return;
         };
-        let epoch = round / EPOCH_LEN;
-        if self.epoch == Some(epoch) {
-            return;
-        }
         let n = graph.node_count();
         if self.active.capacity() != n {
             self.active = ActiveSet::all_active(n);
         }
         self.draws.resize(n.max(1), 0);
         crate::rng::fill_first_draws(
-            salted_stream_key(seed, FLUX_SALT, epoch),
+            salted_stream_key(seed, FLUX_SALT, round / EPOCH_LEN),
             0,
             &mut self.draws[..n],
         );
@@ -379,7 +349,7 @@ impl ChurnState {
                 .filter(|&&u| self.active.is_active(u))
                 .map(|&u| u as usize)
                 .collect();
-            self.deltas.push((v as usize, -load));
+            deltas.push((v as usize, -load));
             if targets.is_empty() {
                 self.events.departed += load;
                 continue;
@@ -393,80 +363,35 @@ impl ChurnState {
                 for (i, &u) in targets.iter().enumerate() {
                     let share = q + i64::from(i < r);
                     if share != 0 {
-                        self.deltas.push((u, share as f64));
+                        deltas.push((u, share as f64));
                     }
                 }
             } else {
                 let share = load / k as f64;
                 for &u in &targets[..k - 1] {
-                    self.deltas.push((u, share));
+                    deltas.push((u, share));
                 }
-                self.deltas
-                    .push((targets[k - 1], load - share * (k - 1) as f64));
+                deltas.push((targets[k - 1], load - share * (k - 1) as f64));
             }
         }
         let init_eff = if discrete { init.trunc() } else { init };
         for &v in &self.arriving {
             self.events.arrivals += 1;
             if init_eff != 0.0 {
-                self.deltas.push((v as usize, init_eff));
+                deltas.push((v as usize, init_eff));
                 self.events.joined += init_eff;
-            }
-        }
-        self.rebuild_masks(graph, fault_live, sweep);
-        self.epoch = Some(epoch);
-    }
-
-    /// Re-derives the epoch's active-edge mask and repaired sweep masks
-    /// from the current overlay (and `fault_live`, when the crash
-    /// channel is also on). Pure in the overlay — checkpoint restore
-    /// calls this directly instead of replaying churn history.
-    pub fn rebuild_masks(
-        &mut self,
-        graph: &Graph,
-        fault_live: Option<&[u64]>,
-        sweep: Option<(&[Vec<u64>], bool)>,
-    ) {
-        let m = graph.edge_count();
-        let mw = m.div_ceil(64).max(1);
-        self.active_edges.clear();
-        self.active_edges.resize(mw, 0);
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            let both = self.active.is_active(u) && self.active.is_active(v);
-            self.active_edges[e >> 6] |= u64::from(both) << (e & 63);
-        }
-        if let Some((masks, recover)) = sweep {
-            let words = self.active.words();
-            self.combined.clear();
-            match fault_live {
-                Some(live) => self
-                    .combined
-                    .extend(words.iter().zip(live).map(|(&a, &b)| a & b)),
-                None => self.combined.extend_from_slice(words),
-            }
-            self.repaired.resize(masks.len(), Vec::new());
-            for (repaired, base) in self.repaired.iter_mut().zip(masks) {
-                repaired.clone_from(base);
-                if recover {
-                    matching::repair_matching(graph, &self.combined, repaired);
-                } else {
-                    matching::mask_dead_edges(graph, &self.combined, repaired);
-                }
             }
         }
     }
 
     /// Restores the Markov chain's state from checkpointed overlay
-    /// words: `epoch` is the epoch of the last completed round, so the
-    /// next `begin_round` transitions exactly when the uninterrupted run
-    /// would have. The caller must follow with [`Self::rebuild_masks`].
-    pub fn restore(&mut self, n: usize, words: Vec<u64>, epoch: u64) {
+    /// words; the caller rebuilds the epoch's membership from them.
+    pub fn restore(&mut self, n: usize, words: Vec<u64>) {
         self.active = ActiveSet::from_words(n, words);
-        self.epoch = Some(epoch);
     }
 
-    /// The overlay words for checkpointing (empty before the first
-    /// churned round).
+    /// The overlay words: the membership's churn input, and what
+    /// checkpoints persist (empty before the first churned round).
     pub fn active_words(&self) -> &[u64] {
         self.active.words()
     }
@@ -475,45 +400,6 @@ impl ChurnState {
     #[cfg(test)]
     pub fn active_count(&self) -> usize {
         self.active.active_count()
-    }
-
-    /// The epoch's churn-active edge mask (both endpoints active).
-    pub fn active_edge_words(&self) -> &[u64] {
-        &self.active_edges
-    }
-
-    /// The epoch's repaired sweep mask at family index `i`.
-    pub fn repaired_mask(&self, i: usize) -> &[u64] {
-        &self.repaired[i]
-    }
-
-    /// Intersects an externally produced mask (a random matching, or a
-    /// fault-composed effective mask) with the churn-active edges.
-    pub fn compose<'a>(&'a mut self, base: &[u64], m: usize) -> &'a [u64] {
-        let mw = m.div_ceil(64).max(1);
-        self.eff.resize(mw, 0);
-        for (w, (out, &b)) in self.eff.iter_mut().zip(base).enumerate() {
-            *out = b & self.active_edges[w];
-        }
-        &self.eff
-    }
-
-    /// Applies the planned transition deltas to discrete loads behind
-    /// any [`BufI64`] (plain cells or the pool's atomic slots — control
-    /// thread only, workers parked). Deltas are whole tokens by
-    /// construction.
-    pub fn apply_i64<L: BufI64>(&self, loads: &L) {
-        for &(node, delta) in &self.deltas {
-            loads.set(node, loads.get(node) + delta as i64);
-        }
-    }
-
-    /// Applies the planned transition deltas to continuous loads behind
-    /// any [`BufF64`]; see [`ChurnState::apply_i64`].
-    pub fn apply_f64<L: BufF64>(&self, loads: &L) {
-        for &(node, delta) in &self.deltas {
-            loads.set(node, loads.get(node) + delta);
-        }
     }
 }
 
@@ -575,21 +461,22 @@ mod tests {
         assert!(ChurnSpec::none().with_initial(5.0).is_none());
     }
 
-    /// Drives one state over `rounds` on `graph` with constant loads.
+    /// Drives one state over `rounds` on `graph`, transitioning at every
+    /// epoch boundary and applying the deltas to `loads`.
     fn drive(
         spec: &ChurnSpec,
         graph: &Graph,
-        rounds: u64,
+        rounds: std::ops::Range<u64>,
+        st: &mut ChurnState,
         loads: &mut [i64],
-    ) -> (Vec<u64>, ChurnEvents) {
-        let mut st = ChurnState::default();
-        for round in 0..rounds {
-            st.begin_round(spec, graph, round, true, None, None, |v| loads[v] as f64);
-            for &(node, delta) in &st.deltas {
+    ) {
+        let mut deltas = Vec::new();
+        for round in rounds.filter(|r| r % EPOCH_LEN == 0) {
+            st.transition(spec, graph, round, true, |v| loads[v] as f64, &mut deltas);
+            for (node, delta) in deltas.drain(..) {
                 loads[node] += delta as i64;
             }
         }
-        (st.active_words().to_vec(), st.events)
     }
 
     #[test]
@@ -598,11 +485,13 @@ mod tests {
         let spec = ChurnSpec::none().with_flux(0.3, 0.5, 99).with_initial(4.0);
         let mut a = vec![10i64; 36];
         let mut b = vec![10i64; 36];
-        let (wa, ea) = drive(&spec, &g, 64, &mut a);
-        let (wb, eb) = drive(&spec, &g, 64, &mut b);
-        assert_eq!(wa, wb);
-        assert_eq!(ea, eb);
+        let (mut sa, mut sb) = (ChurnState::default(), ChurnState::default());
+        drive(&spec, &g, 0..64, &mut sa, &mut a);
+        drive(&spec, &g, 0..64, &mut sb, &mut b);
+        assert_eq!(sa.active_words(), sb.active_words());
+        assert_eq!(sa.events, sb.events);
         assert_eq!(a, b);
+        let ea = sa.events;
         assert!(ea.departures > 0 && ea.arrivals > 0, "{ea:?}");
         // Conservation: total == initial + joined − departed.
         let total: i64 = a.iter().sum();
@@ -617,10 +506,7 @@ mod tests {
         let spec = ChurnSpec::none().with_flux(1.0, 0.0, 5);
         let mut st = ChurnState::default();
         let mut loads = [7i64, 1, 2, 3];
-        st.begin_round(&spec, &g, 0, true, None, None, |v| loads[v] as f64);
-        for &(node, delta) in &st.deltas {
-            loads[node] += delta as i64;
-        }
+        drive(&spec, &g, 0..1, &mut st, &mut loads);
         assert_eq!(loads, [0, 0, 0, 0]);
         assert_eq!(st.events.departed, 13.0);
         assert_eq!(st.events.handoffs, 0);
@@ -646,7 +532,7 @@ mod tests {
             .map(|&u| u as usize)
             .collect();
         assert_eq!(targets.len(), 3);
-        // The same arithmetic begin_round uses, checked end to end by the
+        // The same arithmetic `transition` uses, checked end to end by the
         // conservation proptests; pinned here on a human-checkable case.
         let tokens = loads[0];
         let q = tokens.div_euclid(3);
@@ -664,31 +550,12 @@ mod tests {
         let spec = ChurnSpec::none().with_flux(0.4, 0.0, 3);
         let mut st = ChurnState::default();
         let loads = [0.1f64, 7.3, 11.0, 0.0, 2.25];
-        st.begin_round(&spec, &g, 0, false, None, None, |v| loads[v]);
+        let mut deltas = Vec::new();
+        st.transition(&spec, &g, 0, false, |v| loads[v], &mut deltas);
         if st.events.handoffs > 0 {
-            let sum: f64 = st.deltas.iter().map(|&(_, d)| d).sum();
+            let sum: f64 = deltas.iter().map(|&(_, d)| d).sum();
             assert_eq!(sum, 0.0, "handoff deltas cancel exactly");
         }
-    }
-
-    #[test]
-    fn epoch_transitions_happen_only_at_boundaries() {
-        let g = generators::cycle(8);
-        let spec = ChurnSpec::none().with_flux(0.5, 0.5, 11);
-        let mut st = ChurnState::default();
-        let mut loads = [5i64; 8];
-        let mut boundaries = 0;
-        for round in 0..2 * EPOCH_LEN {
-            st.begin_round(&spec, &g, round, true, None, None, |v| loads[v] as f64);
-            if !st.deltas.is_empty() || round % EPOCH_LEN == 0 {
-                assert_eq!(round % EPOCH_LEN, 0, "delta outside a boundary");
-                boundaries += 1;
-            }
-            for &(node, delta) in &st.deltas {
-                loads[node] += delta as i64;
-            }
-        }
-        assert_eq!(boundaries, 2);
     }
 
     #[test]
@@ -697,65 +564,18 @@ mod tests {
         let spec = ChurnSpec::none().with_flux(0.3, 0.4, 17).with_initial(2.0);
         let mut loads = vec![8i64; 25];
         let mut full = ChurnState::default();
-        for round in 0..3 * EPOCH_LEN {
-            full.begin_round(&spec, &g, round, true, None, None, |v| loads[v] as f64);
-            for &(node, delta) in &full.deltas {
-                loads[node] += delta as i64;
-            }
-        }
-        // Snapshot mid-epoch after round 2*EPOCH_LEN (same loads replay).
+        drive(&spec, &g, 0..4 * EPOCH_LEN, &mut full, &mut loads);
+        // Snapshot mid-epoch at round 2*EPOCH_LEN + 3 (same loads replay).
         let mut loads2 = vec![8i64; 25];
         let mut head = ChurnState::default();
         let cut = 2 * EPOCH_LEN + 3;
-        for round in 0..cut {
-            head.begin_round(&spec, &g, round, true, None, None, |v| loads2[v] as f64);
-            for &(node, delta) in &head.deltas {
-                loads2[node] += delta as i64;
-            }
-        }
+        drive(&spec, &g, 0..cut, &mut head, &mut loads2);
         let mut tail = ChurnState::default();
-        tail.restore(25, head.active_words().to_vec(), (cut - 1) / EPOCH_LEN);
-        tail.rebuild_masks(&g, None, None);
+        tail.restore(25, head.active_words().to_vec());
         tail.events = head.events;
-        for round in cut..3 * EPOCH_LEN {
-            tail.begin_round(&spec, &g, round, true, None, None, |v| loads2[v] as f64);
-            for &(node, delta) in &tail.deltas {
-                loads2[node] += delta as i64;
-            }
-        }
+        drive(&spec, &g, cut..4 * EPOCH_LEN, &mut tail, &mut loads2);
         assert_eq!(tail.active_words(), full.active_words());
         assert_eq!(tail.events, full.events);
         assert_eq!(loads, loads2);
-    }
-
-    #[test]
-    fn rebuilt_sweep_masks_stay_matchings_over_the_active_set() {
-        let g = generators::torus2d(4, 4);
-        let coloring = sodiff_graph::matching::edge_coloring(&g);
-        let families = sodiff_graph::matching::maximal_matchings(&g, &coloring);
-        let masks: Vec<Vec<u64>> = families
-            .iter()
-            .map(|f| {
-                let mut words = vec![0u64; g.edge_count().div_ceil(64).max(1)];
-                for &e in f {
-                    words[(e >> 6) as usize] |= 1u64 << (e & 63);
-                }
-                words
-            })
-            .collect();
-        let spec = ChurnSpec::none().with_flux(0.4, 0.2, 23);
-        let mut st = ChurnState::default();
-        st.begin_round(&spec, &g, 0, true, None, Some((&masks, true)), |_| 0.0);
-        for i in 0..masks.len() {
-            let repaired: Vec<_> = (0..g.edge_count())
-                .filter(|&e| (st.repaired_mask(i)[e >> 6] >> (e & 63)) & 1 == 1)
-                .map(|e| e as sodiff_graph::EdgeId)
-                .collect();
-            assert!(sodiff_graph::matching::is_matching(&g, &repaired));
-            for &e in &repaired {
-                let (u, v) = g.edge(e);
-                assert!(st.active.is_active(u) && st.active.is_active(v));
-            }
-        }
     }
 }

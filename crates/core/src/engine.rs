@@ -829,7 +829,7 @@ impl<'g> Simulator<'g> {
             // The active-node overlay is the churn axis's one
             // history-dependent piece of state (a Markov chain over
             // epochs), so it is persisted verbatim; empty = churn never
-            // ran, so restore leaves the default all-active overlay.
+            // ran (no churn axis, or round 0).
             churn_active: self.scratch.churn.active_words().to_vec(),
             watch,
             steady,
@@ -848,8 +848,10 @@ impl<'g> Simulator<'g> {
     /// # Errors
     ///
     /// [`CheckpointError::Mismatch`] when the snapshot does not fit this
-    /// simulation (wrong node/edge count, wrong mode, or a different
-    /// initial total). The simulator is left unmodified on error.
+    /// simulation (wrong node/edge count, wrong mode, a different
+    /// initial total, or a churn overlay present without the churn axis
+    /// or missing with it past round 0). The simulator is left
+    /// unmodified on error.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
         let n = self.graph.node_count();
         let m = self.graph.edge_count();
@@ -887,6 +889,25 @@ impl<'g> Simulator<'g> {
             return Err(CheckpointError::Mismatch(format!(
                 "snapshot initial total {} differs from the simulation's {}",
                 snap.initial_total, self.initial_total
+            )));
+        }
+        // A churned run persists its overlay from its first round on; no
+        // other snapshot carries one.
+        let churned = !self.scheme_kernel.churn.is_none();
+        if snap.churn_active.is_empty() == (churned && snap.round > 0) {
+            return Err(CheckpointError::Mismatch(format!(
+                "snapshot at round {} {} a churn overlay, but the simulation {}",
+                snap.round,
+                if snap.churn_active.is_empty() {
+                    "lacks"
+                } else {
+                    "carries"
+                },
+                if churned {
+                    "runs churn"
+                } else {
+                    "has no churn axis"
+                },
             )));
         }
         // Compact runs must be able to re-narrow the widened snapshot
@@ -985,50 +1006,22 @@ impl<'g> Simulator<'g> {
         if snap.switch_round.is_some() && self.scheme.is_diffusion() {
             self.scheme = Scheme::fos();
         }
-        // Fault masks are pure per-epoch functions of the spec's seeds
-        // (never incremental), so materializing the pre-resume epoch
-        // once puts every mask exactly where an uninterrupted run would
-        // have it; the cumulative event counters are then overwritten
-        // with the snapshot's so future epochs extend the original
-        // counts.
         self.scratch.fault = Default::default();
+        self.scratch.load = Default::default();
+        self.scratch.churn = Default::default();
+        self.scratch.membership = Default::default();
         if snap.round > 0 {
-            self.scratch.fault.begin_round(
-                &self.scheme_kernel.faults,
+            self.scheme_kernel.restore_epoch(
                 self.graph,
                 snap.round - 1,
-                self.scheme_kernel.fault_sweep_family(),
+                &mut self.scratch,
+                &snap.churn_active,
             );
         }
+        // The event counters are cumulative: later epochs extend the
+        // snapshot's counts, not the ones the redraw just made.
         self.scratch.fault.events = snap.fault_events;
-        self.scratch.load = Default::default();
         self.scratch.load.events = snap.load_events;
-        // The churn overlay is history-dependent (unlike the per-epoch
-        // fault redraw), so restore installs the persisted words
-        // verbatim — never redrawing a transition — and re-derives the
-        // epoch's masks from them against the rematerialized crash-live
-        // set. The memoized epoch is the last *processed* round's, so
-        // the next round transitions exactly when an uninterrupted run
-        // would.
-        self.scratch.churn = Default::default();
-        if !snap.churn_active.is_empty() {
-            self.scratch.churn.restore(
-                n,
-                snap.churn_active.clone(),
-                snap.round.saturating_sub(1) / crate::fault::EPOCH_LEN,
-            );
-            let fault_live = self
-                .scheme_kernel
-                .faults
-                .crash
-                .is_some()
-                .then(|| self.scratch.fault.live_node_words());
-            self.scratch.churn.rebuild_masks(
-                self.graph,
-                fault_live,
-                self.scheme_kernel.sweep_family(),
-            );
-        }
         self.scratch.churn.events = snap.churn_events;
         self.saved_loop = SavedLoop {
             run_start: snap.run_start,

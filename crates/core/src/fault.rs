@@ -1,4 +1,4 @@
-//! Deterministic fault injection: node churn, edge drops, load shocks,
+//! Deterministic fault injection: node crashes, edge drops, load shocks,
 //! and stale-flow (lossy apply) perturbation.
 //!
 //! Every fault is drawn from a counter-indexed SplitMix64 stream (the
@@ -7,26 +7,23 @@
 //! pool see the *same* perturbations in the same order and stay
 //! bit-identical. The four channels of a [`FaultSpec`]:
 //!
-//! * **crash** — node churn on fixed epochs of [`EPOCH_LEN`] rounds:
-//!   each node is independently down for a whole epoch with probability
-//!   `p` (fresh draws per epoch, so nodes crash *and* rejoin at epoch
-//!   boundaries). A downed node's incident edges are masked out, which
-//!   freezes its load; dimension-exchange color classes and round-robin
-//!   matching families are repaired incrementally
-//!   ([`sodiff_graph::matching::repair_matching`] /
-//!   [`sodiff_graph::matching::mask_dead_edges`]) instead of recomputed.
-//!   Contrast with the live-topology churn axis ([`crate::churn`]): a
-//!   crash-frozen node keeps its slot and **returns with its frozen
-//!   load**, whereas a churn departure hands its load away and a churn
-//!   re-arrival starts from the configured initial load — so the two
-//!   channels compose without double-counting in the conservation
-//!   invariant (see the audit note on [`crate::ChurnEvents`]).
+//! * **crash** — on fixed epochs of [`EPOCH_LEN`] rounds each node is
+//!   independently down for the whole epoch with probability `p` (fresh
+//!   draws per epoch, so nodes crash *and* rejoin at epoch boundaries).
+//!   The draw is one of the two inputs of the epoch's membership
+//!   ([`crate::membership`]): a node takes part iff it is crash-live and
+//!   churn-active. A crash **freezes** the node's load: its incident
+//!   edges carry no flow, and it returns with exactly the load it had
+//!   (plus anything handed or injected onto it meanwhile) — unlike a
+//!   churn departure, which hands its load off (see the audit note on
+//!   [`crate::ChurnEvents`]).
 //! * **edgedrop** — each edge independently drops (carries no flow) for
 //!   one round with probability `p`, drawn fresh every round.
 //! * **shock** — with probability `p` per round, a hotspot burst moves a
-//!   quarter of a random live donor's load to a random other live node
-//!   before the round's flow computation. Shocks conserve the total
-//!   load, so the balanced ideal is unchanged.
+//!   quarter of a random crash-live donor's load (whole tokens in
+//!   discrete mode) to a random other crash-live node, as two load
+//!   deltas applied before the round's flow computation. Shocks conserve
+//!   the total load, so the balanced ideal is unchanged.
 //! * **stale** — each edge's *applied* flow is independently lost for
 //!   one round with probability `p`: the flow is computed and recorded
 //!   in the flow memory as usual, but the loads are not updated (a lossy
@@ -44,9 +41,8 @@
 use std::fmt;
 use std::str::FromStr;
 
-use sodiff_graph::{matching, Graph};
-
 use crate::error::{BuildError, ParseError};
+use crate::membership::{valid_word, Membership};
 use crate::rng::{nth_u64, salted_stream_key, unit_f64};
 
 /// Length of a crash epoch in rounds: the node churn schedule redraws
@@ -269,267 +265,120 @@ impl FaultEvents {
     }
 }
 
-/// Which base edge set the round's effective mask starts from; see
-/// [`FaultState::compose_eff`].
-pub(crate) enum EffBase<'a> {
-    /// All edges (diffusion plans): the live-edge set under crash churn,
-    /// every edge otherwise.
-    All,
-    /// The current epoch's repaired sweep mask at this index (crash
-    /// churn active).
-    Repaired(usize),
-    /// An externally produced mask — a sweep class without crash churn,
-    /// or the round's random matching (intersected with the live edges
-    /// when crash churn is active).
-    External(&'a [u64]),
-}
-
-/// Control-thread fault state carried between rounds: the current
-/// epoch's live sets and repaired sweep masks, the round's drop/stale
-/// masks, and the accumulated event counters. Lives in
+/// Control-thread fault state carried between rounds: the round's
+/// drop/stale masks, the composed effective mask, and the accumulated
+/// event counters. The crash channel's live words live in the epoch's
+/// [`Membership`], which this state draws into. Lives in
 /// [`crate::scheme_kernel::RoundScratch`], so the sequential executor
 /// and the pool's control thread share one code path.
 #[derive(Default)]
 pub(crate) struct FaultState {
-    /// Epoch whose live sets are materialized (`None` before round 0).
-    epoch: Option<u64>,
-    /// Live-node bitmask words (crash channel only).
-    live_nodes: Vec<u64>,
-    /// Edges with both endpoints live (crash channel only).
-    live_edges: Vec<u64>,
-    /// Per-epoch incrementally repaired sweep masks (crash + sweep plan).
-    repaired: Vec<Vec<u64>>,
     /// The round's dropped-edge words (edgedrop channel only).
     drop: Vec<u64>,
     /// The round's stale-edge words (stale channel only), consumed by
     /// the apply passes.
-    pub stale: Vec<u64>,
-    /// The round's composed effective mask.
+    stale: Vec<u64>,
+    /// The round's effective mask (edgedrop channel only).
     eff: Vec<u64>,
     /// Raw draw scratch for the bulk RNG sweeps.
     draws: Vec<u64>,
-    /// Live nodes in the current epoch.
-    live_count: usize,
     /// Accumulated event counters.
     pub events: FaultEvents,
 }
 
-/// All bits of mask word `w` that correspond to a valid id below `len`.
+/// Whether bit `u` of the node words `live` is set.
 #[inline]
-fn valid_word(w: usize, len: usize) -> u64 {
-    let base = w * 64;
-    if base + 64 <= len {
-        u64::MAX
-    } else if base >= len {
-        0
-    } else {
-        (1u64 << (len - base)) - 1
-    }
+fn live(live: &[u64], u: usize) -> bool {
+    (live[u >> 6] >> (u & 63)) & 1 == 1
 }
 
 impl FaultState {
-    /// Per-round control-thread preparation: advances the crash epoch
-    /// (recomputing live sets and repairing `sweep` masks at
-    /// boundaries) and draws the round's drop and stale masks. Must run
-    /// before the round's flow pass, in both executors.
-    pub fn begin_round(
-        &mut self,
-        spec: &FaultSpec,
-        graph: &Graph,
-        round: u64,
-        sweep: Option<(&[Vec<u64>], bool)>,
-    ) {
-        let m = graph.edge_count();
-        if spec.crash.is_some() {
-            self.ensure_epoch(spec, graph, round, sweep);
-        }
-        if let Some(FaultChannel { p, seed }) = spec.edgedrop {
-            Self::fill_edge_mask(
-                &mut self.drop,
-                &mut self.draws,
-                seed,
-                DROP_SALT,
-                p,
-                round,
-                m,
-            );
-        }
-        if let Some(FaultChannel { p, seed }) = spec.stale {
-            Self::fill_edge_mask(
-                &mut self.stale,
-                &mut self.draws,
-                seed,
-                STALE_SALT,
-                p,
-                round,
-                m,
-            );
+    /// Draws the round's drop and stale masks. Must run before the
+    /// round's flow pass, in both executors.
+    pub fn begin_round(&mut self, spec: &FaultSpec, round: u64, m: usize) {
+        for (channel, salt, out) in [
+            (spec.edgedrop, DROP_SALT, &mut self.drop),
+            (spec.stale, STALE_SALT, &mut self.stale),
+        ] {
+            let Some(FaultChannel { p, seed }) = channel else {
+                continue;
+            };
+            self.draws.resize(self.draws.len().max(m).max(1), 0);
+            let key = salted_stream_key(seed, salt, round);
+            crate::rng::fill_first_draws(key, 0, &mut self.draws[..m]);
+            out.clear();
+            out.resize(m.div_ceil(64).max(1), 0);
+            for (e, &draw) in self.draws[..m].iter().enumerate() {
+                out[e >> 6] |= u64::from(unit_f64(draw) < p) << (e & 63);
+            }
         }
     }
 
-    /// Recomputes the live sets for `round`'s epoch if it changed:
-    /// fresh per-node draws, crash/rejoin counting against the previous
-    /// epoch (everything live before round 0), the live-edge mask, and
-    /// the incremental repair of the sweep masks.
-    fn ensure_epoch(
-        &mut self,
-        spec: &FaultSpec,
-        graph: &Graph,
-        round: u64,
-        sweep: Option<(&[Vec<u64>], bool)>,
-    ) {
+    /// Draws the crash channel's live-node words for `round`'s epoch
+    /// into `members.crash`, counting crashes and rejoins against the
+    /// words it held (everything live before the first epoch). Call at
+    /// every epoch boundary when the crash channel is on.
+    pub fn draw_crash(&mut self, spec: &FaultSpec, round: u64, n: usize, members: &mut Membership) {
         let FaultChannel { p, seed } = spec.crash.expect("caller checked the crash channel");
-        let epoch = round / EPOCH_LEN;
-        if self.epoch == Some(epoch) {
-            return;
-        }
-        let n = graph.node_count();
-        let m = graph.edge_count();
-        let nw = n.div_ceil(64).max(1);
-        self.draws.resize(n.max(m).max(1), 0);
-        crate::rng::fill_first_draws(
-            salted_stream_key(seed, CRASH_SALT, epoch),
-            0,
-            &mut self.draws[..n],
-        );
-        let first = self.epoch.is_none();
-        self.live_nodes.resize(nw, 0);
-        let mut live_count = 0usize;
-        for w in 0..nw {
+        self.draws.resize(self.draws.len().max(n).max(1), 0);
+        let key = salted_stream_key(seed, CRASH_SALT, round / EPOCH_LEN);
+        crate::rng::fill_first_draws(key, 0, &mut self.draws[..n]);
+        let live = &mut members.crash;
+        let first = live.is_empty();
+        live.resize(n.div_ceil(64).max(1), 0);
+        for (w, old) in live.iter_mut().enumerate() {
             let valid = valid_word(w, n);
             let mut word = 0u64;
             let base = w * 64;
             for b in 0..64.min(n.saturating_sub(base)) {
                 word |= u64::from(unit_f64(self.draws[base + b]) >= p) << b;
             }
-            let old = if first { valid } else { self.live_nodes[w] };
-            self.events.crashes += u64::from((old & !word).count_ones());
-            self.events.rejoins += u64::from((!old & word & valid).count_ones());
-            live_count += word.count_ones() as usize;
-            self.live_nodes[w] = word;
-        }
-        self.live_count = live_count;
-        let mw = m.div_ceil(64).max(1);
-        self.live_edges.clear();
-        self.live_edges.resize(mw, 0);
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            let both = self.live(u as usize) && self.live(v as usize);
-            self.live_edges[e >> 6] |= u64::from(both) << (e & 63);
-        }
-        if let Some((masks, recover)) = sweep {
-            self.repaired.resize(masks.len(), Vec::new());
-            for (repaired, base) in self.repaired.iter_mut().zip(masks) {
-                repaired.clone_from(base);
-                if recover {
-                    matching::repair_matching(graph, &self.live_nodes, repaired);
-                } else {
-                    matching::mask_dead_edges(graph, &self.live_nodes, repaired);
-                }
-            }
-        }
-        self.epoch = Some(epoch);
-    }
-
-    /// Draws one per-round Bernoulli edge mask (drop or stale).
-    fn fill_edge_mask(
-        out: &mut Vec<u64>,
-        draws: &mut Vec<u64>,
-        seed: u64,
-        salt: u64,
-        p: f64,
-        round: u64,
-        m: usize,
-    ) {
-        draws.resize(draws.len().max(m).max(1), 0);
-        crate::rng::fill_first_draws(salted_stream_key(seed, salt, round), 0, &mut draws[..m]);
-        let mw = m.div_ceil(64).max(1);
-        out.clear();
-        out.resize(mw, 0);
-        for (e, &draw) in draws[..m].iter().enumerate() {
-            out[e >> 6] |= u64::from(unit_f64(draw) < p) << (e & 63);
+            let was = if first { valid } else { *old };
+            self.events.crashes += u64::from((was & !word).count_ones());
+            self.events.rejoins += u64::from((!was & word & valid).count_ones());
+            *old = word;
         }
     }
 
-    /// Composes the round's effective active-edge mask:
-    /// `base ∧ live-edges ∧ ¬dropped`, counting the dropped-while-active
-    /// edges (and, fused here because the composed mask *is* the active
-    /// set, the round's stale losses). Returns the mask the flow pass
-    /// should use, with the round's stale words for the apply pass.
-    pub fn compose_eff(
-        &mut self,
+    /// The round's effective active-edge mask and stale words: `base`
+    /// (`None` = every edge) minus the round's dropped edges, counting
+    /// the dropped-while-active edges and the round's stale losses among
+    /// the edges left active. Without the edgedrop channel the mask is
+    /// `base` itself. Call once per round, after [`Self::begin_round`].
+    pub fn compose_eff<'a>(
+        &'a mut self,
         spec: &FaultSpec,
         m: usize,
-        base: EffBase<'_>,
-    ) -> (&[u64], &[u64]) {
-        let mw = m.div_ceil(64).max(1);
-        self.eff.resize(mw, 0);
-        let crash = spec.crash.is_some();
+        base: Option<&'a [u64]>,
+    ) -> (Option<&'a [u64]>, Option<&'a [u64]>) {
         let dropping = spec.edgedrop.is_some();
         let staling = spec.stale.is_some();
-        for w in 0..mw {
-            let base_w = match base {
-                EffBase::All => {
-                    if crash {
-                        self.live_edges[w]
-                    } else {
-                        valid_word(w, m)
-                    }
+        if dropping {
+            self.eff.resize(m.div_ceil(64).max(1), 0);
+        }
+        if dropping || staling {
+            for w in 0..m.div_ceil(64).max(1) {
+                let mut word = base.map_or_else(|| valid_word(w, m), |words| words[w]);
+                if dropping {
+                    self.events.edges_dropped += u64::from((word & self.drop[w]).count_ones());
+                    word &= !self.drop[w];
+                    self.eff[w] = word;
                 }
-                EffBase::Repaired(i) => self.repaired[i][w],
-                EffBase::External(ext) => {
-                    if crash {
-                        ext[w] & self.live_edges[w]
-                    } else {
-                        ext[w]
-                    }
+                if staling {
+                    self.events.stale_edges += u64::from((word & self.stale[w]).count_ones());
                 }
-            };
-            let word = if dropping {
-                self.events.edges_dropped += u64::from((base_w & self.drop[w]).count_ones());
-                base_w & !self.drop[w]
-            } else {
-                base_w
-            };
-            if staling {
-                self.events.stale_edges += u64::from((word & self.stale[w]).count_ones());
             }
-            self.eff[w] = word;
         }
-        (&self.eff, &self.stale)
+        let mask = if dropping { Some(&self.eff[..]) } else { base };
+        (mask, staling.then_some(&self.stale[..]))
     }
 
-    /// Counts the round's stale losses among the active edges (`mask`
-    /// `None` = all edges active). Call once per round when the stale
-    /// channel is on, after the active mask is known.
-    pub fn count_stale(&mut self, mask: Option<&[u64]>, m: usize) {
-        let mw = m.div_ceil(64).max(1);
-        for w in 0..mw {
-            let active = mask.map_or_else(|| valid_word(w, m), |words| words[w]);
-            self.events.stale_edges += u64::from((active & self.stale[w]).count_ones());
-        }
-    }
-
-    /// The materialized epoch's live-node words (crash channel only;
-    /// empty before the first `begin_round`). The churn axis intersects
-    /// these with its activation overlay when repairing sweep schedules,
-    /// so a crash-frozen node is never re-matched.
-    pub fn live_node_words(&self) -> &[u64] {
-        &self.live_nodes
-    }
-
-    /// Whether node `u` is live in the materialized epoch (only
-    /// meaningful when the crash channel is on).
-    #[inline]
-    fn live(&self, u: usize) -> bool {
-        (self.live_nodes[u >> 6] >> (u & 63)) & 1 == 1
-    }
-
-    /// Rejection-samples a live node id from `key`'s draw stream,
-    /// starting at draw counter `k`, skipping `exclude`. Returns the
-    /// node and the next unused counter; `None` after 128 rejections.
+    /// Rejection-samples a crash-live node id (any node without a crash
+    /// channel) from `key`'s draw stream, starting at draw counter `k`,
+    /// skipping `exclude`. Returns the node and the next unused counter;
+    /// `None` after 128 rejections.
     fn pick_live(
-        &self,
-        crash: bool,
+        crash: Option<&[u64]>,
         key: u64,
         mut k: u64,
         n: usize,
@@ -538,32 +387,65 @@ impl FaultState {
         for _ in 0..128 {
             let cand = (nth_u64(key, k) % n as u64) as usize;
             k += 1;
-            if (!crash || self.live(cand)) && Some(cand) != exclude {
+            if crash.is_none_or(|words| live(words, cand)) && Some(cand) != exclude {
                 return Some((cand, k));
             }
         }
         None
     }
 
-    /// The round's shock, if one fires: a `(donor, hotspot)` pair of
-    /// distinct live nodes. The caller moves a quarter of the donor's
-    /// load to the hotspot (mode-specific arithmetic) and counts the
-    /// event iff tokens moved. Requires [`FaultState::begin_round`] for
-    /// this round to have run (live sets current).
-    pub fn shock_targets(&self, spec: &FaultSpec, round: u64, n: usize) -> Option<(usize, usize)> {
+    /// The round's shock targets, if one fires: a `(donor, hotspot)` pair
+    /// of distinct crash-live nodes (`crash` = the epoch's crash-live
+    /// words, current for this round).
+    fn shock_targets(
+        spec: &FaultSpec,
+        round: u64,
+        n: usize,
+        crash: &[u64],
+    ) -> Option<(usize, usize)> {
         let FaultChannel { p, seed } = spec.shock?;
         let key = salted_stream_key(seed, SHOCK_SALT, round);
         if unit_f64(nth_u64(key, 0)) >= p {
             return None;
         }
-        let crash = spec.crash.is_some();
-        let live_count = if crash { self.live_count } else { n };
+        let crash = spec.crash.is_some().then_some(crash);
+        let live_count = crash.map_or(n, |words| {
+            words.iter().map(|w| w.count_ones() as usize).sum()
+        });
         if live_count < 2 {
             return None;
         }
-        let (hotspot, k) = self.pick_live(crash, key, 1, n, None)?;
-        let (donor, _) = self.pick_live(crash, key, k, n, Some(hotspot))?;
+        let (hotspot, k) = Self::pick_live(crash, key, 1, n, None)?;
+        let (donor, _) = Self::pick_live(crash, key, k, n, Some(hotspot))?;
         Some((donor, hotspot))
+    }
+
+    /// Plans the round's shock, if one fires and moves tokens: a quarter
+    /// of the donor's load (`peek`; truncated to whole tokens in
+    /// discrete mode) leaves the donor and lands on the hotspot, as two
+    /// deltas pushed onto `deltas`, counted as one shock. `crash` is the
+    /// epoch's crash-live words, current for this round.
+    #[allow(clippy::too_many_arguments)] // one planner's full round context
+    pub fn plan_shock(
+        &mut self,
+        spec: &FaultSpec,
+        round: u64,
+        n: usize,
+        crash: &[u64],
+        discrete: bool,
+        peek: impl Fn(usize) -> f64,
+        deltas: &mut Vec<(usize, f64)>,
+    ) {
+        let Some((donor, hotspot)) = Self::shock_targets(spec, round, n, crash) else {
+            return;
+        };
+        let quarter = peek(donor) / 4.0;
+        let amt = if discrete { quarter.trunc() } else { quarter };
+        if amt != 0.0 {
+            deltas.push((donor, -amt));
+            deltas.push((hotspot, amt));
+            self.events.shocks += 1;
+        }
     }
 }
 
@@ -732,21 +614,19 @@ mod tests {
     #[test]
     fn fault_state_matches_public_schedule() {
         let spec = FaultSpec::none().with_crash(0.25, 7);
-        let g = generators::torus2d(6, 6);
+        let n = 36;
         let mut fs = FaultState::default();
+        let mut members = Membership::default();
         for round in [0, 5, 16, 40] {
-            fs.begin_round(&spec, &g, round, None);
-            let public = spec.live_nodes(round, g.node_count());
-            for (v, &live) in public.iter().enumerate() {
-                assert_eq!(fs.live(v), live, "round {round} node {v}");
+            if members.advance(round) {
+                fs.draw_crash(&spec, round, n, &mut members);
             }
-            assert_eq!(
-                fs.live_count,
-                public.iter().filter(|&&l| l).count(),
-                "round {round}"
-            );
+            let public = spec.live_nodes(round, n);
+            for (v, &up) in public.iter().enumerate() {
+                assert_eq!(live(&members.crash, v), up, "round {round} node {v}");
+            }
         }
-        // Churn events were counted at the two epoch transitions.
+        // Crash events were counted at the two epoch transitions.
         assert!(fs.events.crashes > 0);
     }
 
@@ -756,9 +636,16 @@ mod tests {
         let g = generators::torus2d(5, 5);
         let m = g.edge_count();
         let mut fs = FaultState::default();
-        fs.begin_round(&spec, &g, 0, None);
+        let mut members = Membership::default();
+        fs.draw_crash(&spec, 0, g.node_count(), &mut members);
+        members.rebuild(&g, true, None, None);
+        fs.begin_round(&spec, 0, m);
         let drop = fs.drop.clone();
-        let eff = fs.compose_eff(&spec, m, EffBase::All).0.to_vec();
+        let eff = fs
+            .compose_eff(&spec, m, Some(members.edges()))
+            .0
+            .unwrap()
+            .to_vec();
         let live = spec.live_nodes(0, g.node_count());
         for (e, &(u, v)) in g.edges().iter().enumerate() {
             let bit = (eff[e >> 6] >> (e & 63)) & 1 == 1;
@@ -774,27 +661,55 @@ mod tests {
 
     #[test]
     fn shock_targets_are_live_distinct_and_rate_limited() {
-        let g = generators::torus2d(6, 6);
-        let n = g.node_count();
+        let n = 36;
         let spec = FaultSpec::none().with_crash(0.3, 11).with_shock(0.5, 13);
         let mut fs = FaultState::default();
+        let mut members = Membership::default();
         let mut fired = 0u32;
         for round in 0..200 {
-            fs.begin_round(&spec, &g, round, None);
-            if let Some((donor, hotspot)) = fs.shock_targets(&spec, round, n) {
+            if members.advance(round) {
+                fs.draw_crash(&spec, round, n, &mut members);
+            }
+            let crash = &members.crash;
+            if let Some((donor, hotspot)) = FaultState::shock_targets(&spec, round, n, crash) {
                 fired += 1;
                 assert_ne!(donor, hotspot);
-                assert!(fs.live(donor), "round {round}");
-                assert!(fs.live(hotspot), "round {round}");
+                assert!(live(crash, donor), "round {round}");
+                assert!(live(crash, hotspot), "round {round}");
             }
         }
         // Rate 0.5 over 200 rounds: the count concentrates around 100.
         assert!((60..=140).contains(&fired), "{fired} shocks at rate 0.5");
         // Rate 0 never fires.
         let quiet = FaultSpec::none().with_shock(0.0, 13);
-        assert!(fs.shock_targets(&quiet, 0, n).is_none());
+        assert!(FaultState::shock_targets(&quiet, 0, n, &[]).is_none());
         // A single-node graph cannot host a donor/hotspot pair.
-        assert!(fs.shock_targets(&spec, 0, 1).is_none());
+        assert!(FaultState::shock_targets(&spec, 0, 1, &[1]).is_none());
+    }
+
+    #[test]
+    fn shock_moves_a_quarter_as_two_deltas() {
+        // Rate 1 on two nodes: every round fires, between nodes 0 and 1.
+        let spec = FaultSpec::none().with_shock(1.0, 4);
+        let mut fs = FaultState::default();
+        let mut deltas = Vec::new();
+        for (discrete, load, moved) in [(true, 7.0, 1.0), (true, -9.0, -2.0), (false, 7.0, 1.75)] {
+            deltas.clear();
+            fs.plan_shock(&spec, 0, 2, &[], discrete, |_| load, &mut deltas);
+            let (donor, out) = deltas[0];
+            let (hotspot, inflow) = deltas[1];
+            assert_ne!(donor, hotspot);
+            assert_eq!(
+                (out, inflow),
+                (-moved, moved),
+                "discrete={discrete} load={load}"
+            );
+        }
+        // A whole-token quarter of zero moves nothing and is not counted.
+        deltas.clear();
+        fs.plan_shock(&spec, 0, 2, &[], true, |_| -3.0, &mut deltas);
+        assert!(deltas.is_empty());
+        assert_eq!(fs.events.shocks, 3);
     }
 
     #[test]

@@ -90,21 +90,27 @@
 //! edge-local discrete / the three-phase randomized-framework pipeline),
 //! an *active plan* (all edges every round, a precomputed family of edge
 //! bitmasks swept round-robin, or a fresh random maximal matching per
-//! round), a *fault plan* ([`FaultSpec`]: deterministic node
-//! crash/rejoin churn, per-round edge drops, load shocks, and stale-flow
-//! injection, all drawn from counter-indexed RNG streams — see the
-//! `fault` module docs), a *load plan* ([`LoadSpec`]: per-round
-//! dynamic-workload injection — Poisson arrivals/departures, periodic
-//! hotspot bursts, diurnal swings, and an adversarial injector that
-//! re-targets the currently most-loaded node, drawn from the same
-//! salted counter-indexed streams — see the `load` module docs), and a
-//! *churn plan* ([`ChurnSpec`]: live topology churn — epoch-aligned
-//! node departures and (re)arrivals over the graph's reserved node
-//! capacity, with conservation-exact handoff of a departing node's
-//! entire load to its live neighbors, configurable initial load on
-//! arrival, and incremental per-epoch repair of the sweep-plan mask
-//! families over the shrunken/regrown active set — see the `churn`
-//! module docs). `faults=none`, `load=none`, and `churn=none` plans
+//! round), a *fault plan* ([`FaultSpec`]: deterministic node crashes,
+//! per-round edge drops, load shocks, and stale-flow injection, all
+//! drawn from counter-indexed RNG streams — see the `fault` module
+//! docs), a *load plan* ([`LoadSpec`]: per-round dynamic-workload
+//! injection — Poisson arrivals/departures, periodic hotspot bursts,
+//! diurnal swings, and an adversarial injector that re-targets the
+//! currently most-loaded node, drawn from the same salted
+//! counter-indexed streams — see the `load` module docs), and a *churn
+//! plan* ([`ChurnSpec`]: live topology churn — epoch-aligned node
+//! departures and (re)arrivals over the graph's reserved node capacity,
+//! with conservation-exact handoff of a departing node's entire load to
+//! its active neighbors and configurable initial load on arrival — see
+//! the `churn` module docs). Crashes and churn share **one membership
+//! model**: in each epoch a node takes part iff it is crash-live and
+//! churn-active, an edge iff both endpoints take part, and every active
+//! plan reads that one participating set (the sweep families are
+//! repaired against it once per epoch). The two differ only in what
+//! happens to the load: a crash freezes it on the node until it rejoins,
+//! a churn departure hands it off. Shocks, churn handoffs and arrivals,
+//! and injection all reach the loads as `(node, delta)` edits through
+//! one apply path. `faults=none`, `load=none`, and `churn=none` plans
 //! keep every hot loop on the original unperturbed kernels.
 //! Orthogonal to those five axes, the
 //! **memory layout** (`mem=full` / `mem=compact`, [`MemSpec`]) selects
@@ -116,12 +122,12 @@
 //! stores loads and per-edge state as `i32`/`f32` at half the bytes,
 //! widening on every read and narrowing on every write but keeping all
 //! arithmetic in `f64`. A round has one body, in the scheme-kernel
-//! layer: the control thread's `prepare_round` (fault, churn and load
-//! deltas, then the round's effective active-edge mask) and one phase
-//! sequence (edge pass, rounding, apply pass). The worker pool runs the
-//! phase sequence on every participant with a barrier between phases;
-//! a one-thread simulation runs it inline over the whole graph with no
-//! sync. Both executors balance identical per-round loads and run the
+//! layer: the control thread's `prepare_round` (the epoch's membership,
+//! the round's load deltas, then the round's effective active-edge
+//! mask) and one phase sequence (edge pass, rounding, apply pass). The
+//! worker pool runs the phase sequence on every participant with a
+//! barrier between phases; a one-thread simulation runs it inline over
+//! the whole graph with no sync. Both executors balance identical per-round loads and run the
 //! same kernel calls in the same per-element order — pooled results are
 //! bit-identical to one-thread ones for every scheme, every fault plan,
 //! every load plan, and every churn plan, by construction. Dynamic runs
@@ -144,13 +150,13 @@
 //!    [`sodiff_graph::matching`]); if it needs new per-edge
 //!    coefficients, compute them here. Every edge pass already takes a
 //!    mask and coefficient tables, so only a genuinely new *phase
-//!    structure* requires touching `kernel.rs` itself. The fault axis
-//!    composes automatically: any masked plan is intersected with the
-//!    round's live/dropped edge sets, and sweep families are repaired
-//!    incrementally at crash epochs — a new scheme only needs to decide
-//!    whether its masks should be *re-covered* after node deaths
-//!    (matchings: yes) or merely *masked out* (color classes: no), the
-//!    `recover` flag of the sweep plan.
+//!    structure* requires touching `kernel.rs` itself. Membership and
+//!    edge drops compose automatically: every plan reads the epoch's
+//!    participating set (sweep families are repaired against it once
+//!    per epoch) and loses the round's dropped edges — a new scheme only
+//!    needs to decide whether its masks should be *re-covered* after
+//!    nodes stop taking part (matchings: yes) or merely *masked out*
+//!    (color classes: no), the `recover` flag of the sweep plan.
 //! 3. **`error.rs`** — add `BuildError` variants for configurations the
 //!    scheme cannot run on, and report them from
 //!    `SchemeKernel::validate` so both the builder and hand-built
@@ -179,7 +185,8 @@
 //! active-node overlay (the one history-dependent piece of axis state,
 //! persisted verbatim since format v2 so restore never redraws a
 //! transition), and the stop-condition metric rings — while kernels,
-//! coefficient tables, and fault/churn masks are re-derived from the
+//! coefficient tables, and the epoch's membership (the crash draw
+//! redrawn, the overlay installed) are re-derived from the
 //! [`ScenarioSpec`] embedded in the checkpoint header. Format v1 files
 //! (pre-churn) still load, defaulting to a churn-never-ran overlay. Scenario files opt in with `ckpt=every:N:DIR`
 //! (plus an automatic pre-degradation snapshot when the divergence
@@ -420,6 +427,7 @@ pub mod kernel;
 mod load;
 #[doc(hidden)]
 pub mod matchgen;
+mod membership;
 pub mod metrics;
 mod observer;
 mod pool;

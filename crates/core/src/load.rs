@@ -396,28 +396,69 @@ fn other_node(word: u64, n: usize, exclude: usize) -> usize {
     }
 }
 
-/// Control-thread injection state carried between rounds: the round's
-/// planned deltas and the accumulated event counters. Lives in
+/// The control thread's view of the simulation's loads while it plans a
+/// round: reads for the planners' `peek`, and the one path by which every
+/// control-thread load edit — shocks, churn handoffs and arrivals, and
+/// injection — reaches the loads. Works over any [`BufI64`]/[`BufF64`]
+/// storage: the one-thread executor's `Cell` slices, the pool's atomic
+/// slots (before the round's first barrier, with the workers parked, so
+/// `Relaxed` is exclusive access), and the compact `i32`/`f32` twins of
+/// either. The storage the mode does not use is empty.
+pub(crate) struct LoadView<'a, LI, LF> {
+    /// Whether the loads are whole tokens (`ints`) or continuous
+    /// (`floats`).
+    pub discrete: bool,
+    /// Discrete loads.
+    pub ints: &'a LI,
+    /// Continuous loads.
+    pub floats: &'a LF,
+}
+
+impl<LI: BufI64, LF: BufF64> LoadView<'_, LI, LF> {
+    /// Node `i`'s current load as `f64`.
+    pub fn get(&self, i: usize) -> f64 {
+        if self.discrete {
+            self.ints.get(i) as f64
+        } else {
+            self.floats.get(i)
+        }
+    }
+
+    /// Adds each `(node, delta)` to the node's load, in order, and
+    /// empties `deltas`. Discrete deltas are whole tokens by
+    /// construction, so the cast is exact (for loads within ±2^53, where
+    /// `peek` is exact too); the read/add/write sequence is the same
+    /// arithmetic in the same order on every storage, which keeps pooled
+    /// runs bit-identical to one-thread ones.
+    pub fn apply(&self, deltas: &mut Vec<(usize, f64)>) {
+        for (node, delta) in deltas.drain(..) {
+            if self.discrete {
+                self.ints.set(node, self.ints.get(node) + delta as i64);
+            } else {
+                self.floats.set(node, self.floats.get(node) + delta);
+            }
+        }
+    }
+}
+
+/// Control-thread injection state carried between rounds: the
+/// accumulated event counters. Lives in
 /// [`crate::scheme_kernel::RoundScratch`], so the sequential executor
 /// and the pool's control thread share one code path.
 #[derive(Default)]
 pub(crate) struct LoadState {
-    /// The round's injection events as `(node, delta)` pairs, planned by
-    /// [`LoadState::plan_round`] and consumed by the `apply_*` methods.
-    /// Deltas are exact whole-token values in discrete mode (the
-    /// diurnal generator rounds at plan time).
-    deltas: Vec<(usize, f64)>,
     /// Accumulated event counters and the injected-total account.
     pub events: LoadEvents,
 }
 
 impl LoadState {
     /// Plans one round's injection events: draws every active
-    /// generator's deltas from its counter-indexed stream and records
-    /// them (with the event accounting) for the apply step. `peek`
-    /// reads a node's current load as `f64` — it is only called on
-    /// adversarial firing rounds. Control-thread only; must run before
-    /// the round's flow pass in both executors.
+    /// generator's deltas from its counter-indexed stream and pushes them
+    /// onto `deltas` (with the event accounting). Deltas are exact
+    /// whole-token values in discrete mode (the diurnal generator rounds
+    /// at plan time). `peek` reads a node's current load — it is only
+    /// called on adversarial firing rounds. Control-thread only; must run
+    /// before the round's flow pass in both executors.
     pub fn plan_round(
         &mut self,
         spec: &LoadSpec,
@@ -425,9 +466,8 @@ impl LoadState {
         n: usize,
         discrete: bool,
         peek: impl Fn(usize) -> f64,
+        deltas: &mut Vec<(usize, f64)>,
     ) {
-        self.deltas.clear();
-        let deltas = &mut self.deltas;
         let events = &mut self.events;
         let mut push = |node: usize, delta: f64| {
             if delta > 0.0 {
@@ -500,30 +540,6 @@ impl LoadState {
                 push(hot, burst as f64);
                 push(donor, -(burst as f64));
             }
-        }
-    }
-
-    /// Applies the planned deltas to discrete loads behind any
-    /// [`BufI64`] storage: the sequential `Cell` slices, the pool's
-    /// atomic slots (control-thread only, before the round's first
-    /// barrier — the workers are parked, so `Relaxed` is exclusive
-    /// access), and the compact `i32` twins of either. Every delta is
-    /// integral in discrete mode, so the cast is exact, and the
-    /// read/add/write sequence is the same arithmetic in the same event
-    /// order on every storage, keeping pooled runs bit-identical to
-    /// sequential ones.
-    pub fn apply_i64<L: BufI64>(&self, loads: &L) {
-        for &(node, delta) in &self.deltas {
-            loads.set(node, loads.get(node) + delta as i64);
-        }
-    }
-
-    /// Applies the planned deltas to continuous loads behind any
-    /// [`BufF64`] storage; same exclusivity and bit-identity contract as
-    /// [`LoadState::apply_i64`].
-    pub fn apply_f64<L: BufF64>(&self, loads: &L) {
-        for &(node, delta) in &self.deltas {
-            loads.set(node, loads.get(node) + delta);
         }
     }
 }
@@ -700,6 +716,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
+    /// One round's planned deltas.
+    fn plan(
+        state: &mut LoadState,
+        spec: &LoadSpec,
+        round: u64,
+        n: usize,
+        discrete: bool,
+        peek: impl Fn(usize) -> f64,
+    ) -> Vec<(usize, f64)> {
+        let mut deltas = Vec::new();
+        state.plan_round(spec, round, n, discrete, peek, &mut deltas);
+        deltas
+    }
+
     #[test]
     fn display_roundtrip() {
         for spec in [
@@ -786,9 +816,9 @@ mod tests {
         let mut b = LoadState::default();
         let mut arrivals = 0u64;
         for round in 0..200 {
-            a.plan_round(&spec, round, 36, true, |_| 0.0);
-            b.plan_round(&spec, round, 36, true, |_| 0.0);
-            assert_eq!(a.deltas, b.deltas, "round {round}");
+            let da = plan(&mut a, &spec, round, 36, true, |_| 0.0);
+            let db = plan(&mut b, &spec, round, 36, true, |_| 0.0);
+            assert_eq!(da, db, "round {round}");
             arrivals = a.events.arrivals;
         }
         // Rate 2 over 200 rounds: the arrival count concentrates near 400.
@@ -804,8 +834,7 @@ mod tests {
         // Rate 0 never fires.
         let quiet = LoadSpec::none().with_poisson(0.0, 11);
         let mut c = LoadState::default();
-        c.plan_round(&quiet, 0, 36, true, |_| 0.0);
-        assert!(c.deltas.is_empty());
+        assert!(plan(&mut c, &quiet, 0, 36, true, |_| 0.0).is_empty());
     }
 
     #[test]
@@ -814,17 +843,17 @@ mod tests {
         let mut state = LoadState::default();
         let n = 16;
         for round in 0..32 {
-            state.plan_round(&spec, round, n, true, |_| 0.0);
+            let deltas = plan(&mut state, &spec, round, n, true, |_| 0.0);
             if round % 8 == 0 {
-                assert_eq!(state.deltas.len(), 2, "round {round}");
-                let (target, inflow) = state.deltas[0];
-                let (donor, outflow) = state.deltas[1];
+                assert_eq!(deltas.len(), 2, "round {round}");
+                let (target, inflow) = deltas[0];
+                let (donor, outflow) = deltas[1];
                 assert_eq!(target, 40 % n, "node is taken modulo n");
                 assert_eq!(inflow, 25.0);
                 assert_eq!(outflow, -25.0);
                 assert_ne!(donor, target);
             } else {
-                assert!(state.deltas.is_empty(), "round {round}");
+                assert!(deltas.is_empty(), "round {round}");
             }
         }
         assert_eq!(state.events.injected, 0.0, "bursts conserve the total");
@@ -839,8 +868,7 @@ mod tests {
         let mut saw_surplus = false;
         let mut saw_deficit = false;
         for round in 0..8 {
-            state.plan_round(&spec, round, 4, true, |_| 0.0);
-            for &(_, delta) in &state.deltas {
+            for (_, delta) in plan(&mut state, &spec, round, 4, true, |_| 0.0) {
                 assert_eq!(delta, delta.round(), "discrete deltas are integral");
                 saw_surplus |= delta > 0.0;
                 saw_deficit |= delta < 0.0;
@@ -851,8 +879,7 @@ mod tests {
         assert_eq!(state.events.injected, 0.0);
         // Continuous mode keeps the fractional amplitude.
         let mut c = LoadState::default();
-        c.plan_round(&spec, 1, 4, false, |_| 0.0);
-        let (node, delta) = c.deltas[0];
+        let (node, delta) = plan(&mut c, &spec, 1, 4, false, |_| 0.0)[0];
         assert_eq!(node, 1, "delta lands on the rotating node");
         assert!((delta - 10.0 * (std::f64::consts::TAU / 8.0).sin()).abs() < 1e-12);
     }
@@ -862,16 +889,15 @@ mod tests {
         let spec = LoadSpec::none().with_adversarial(30, 4, 7);
         let loads = [5.0, 80.0, 2.0, 80.0, 1.0];
         let mut state = LoadState::default();
-        state.plan_round(&spec, 0, loads.len(), true, |i| loads[i]);
-        let (hot, inflow) = state.deltas[0];
-        let (donor, outflow) = state.deltas[1];
+        let deltas = plan(&mut state, &spec, 0, loads.len(), true, |i| loads[i]);
+        let (hot, inflow) = deltas[0];
+        let (donor, outflow) = deltas[1];
         assert_eq!(hot, 1, "first argmax wins ties");
         assert_eq!(inflow, 30.0);
         assert_eq!(outflow, -30.0);
         assert_ne!(donor, hot);
         // Off-period rounds stay quiet (and never touch `peek`).
-        state.plan_round(&spec, 1, loads.len(), true, |_| unreachable!());
-        assert!(state.deltas.is_empty());
+        assert!(plan(&mut state, &spec, 1, loads.len(), true, |_| unreachable!()).is_empty());
     }
 
     #[test]
@@ -884,9 +910,22 @@ mod tests {
         let atomics: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(100)).collect();
         let mut state = LoadState::default();
         for round in 0..24 {
-            state.plan_round(&spec, round, n, true, |i| seq[i] as f64);
-            state.apply_i64(&crate::kernel::cells_i64(&mut seq));
-            state.apply_i64(&crate::kernel::AtomicsI64(&atomics));
+            let deltas = plan(&mut state, &spec, round, n, true, |i| seq[i] as f64);
+            let floats = &crate::kernel::CellsF64(&[]);
+            let cells = &crate::kernel::cells_i64(&mut seq);
+            let slots = &crate::kernel::AtomicsI64(&atomics);
+            LoadView {
+                discrete: true,
+                ints: cells,
+                floats,
+            }
+            .apply(&mut deltas.clone());
+            LoadView {
+                discrete: true,
+                ints: slots,
+                floats,
+            }
+            .apply(&mut deltas.clone());
         }
         let pooled: Vec<i64> = atomics.iter().map(|a| a.load(Relaxed)).collect();
         assert_eq!(seq, pooled);

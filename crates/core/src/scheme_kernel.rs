@@ -20,38 +20,37 @@
 //!   matching-based balancing over maximal matchings), or a fresh random
 //!   maximal matching drawn per round from a `(seed, round)`-keyed greedy
 //!   order.
-//! * [`crate::FaultSpec`] — *what goes wrong* each round: deterministic
-//!   node crash/rejoin churn, per-round edge drops, load shocks, and
+//! * [`crate::FaultSpec`] — *what goes wrong* each round:
+//!   deterministic node crashes, per-round edge drops, load shocks, and
 //!   stale-flow injection, all drawn from counter-indexed RNG streams
-//!   (see the `fault` module). With edge faults active, every plan's
-//!   mask is intersected with the round's live/undropped edge set (sweep
-//!   families are incrementally repaired at crash epochs); with
-//!   `faults=none` every hot loop below takes exactly its original
-//!   unperturbed path.
+//!   (see the `fault` module). With `faults=none` every hot loop below
+//!   takes exactly its original unperturbed path.
 //! * [`crate::LoadSpec`] — *what work arrives* each round: Poisson
 //!   arrivals/departures, periodic hotspot bursts, a diurnal swing, and
-//!   an adversarial most-loaded-node injector, all planned and applied
-//!   by the control thread before the round's flow pass (see the `load`
-//!   module). With `load=none` every run takes exactly the pre-load
-//!   code paths.
-//! * [`crate::ChurnSpec`] — *which nodes exist* each round: live
+//!   an adversarial most-loaded-node injector (see the `load` module).
+//!   With `load=none` every run takes exactly the pre-load code paths.
+//! * [`crate::ChurnSpec`] — *which machines exist* each round: live
 //!   topology churn over the graph's reserved node capacity, with
-//!   epoch-aligned departures/(re)arrivals drawn from the same
-//!   counter-indexed streams, conservation-exact handoff of a departing
-//!   node's entire load to its live neighbors, and per-epoch incremental
-//!   repair of the sweep-plan mask families against the combined
-//!   churn-active × crash-live node set (see the `churn` module). With
-//!   churn active every plan — including diffusion — routes through the
-//!   published active-edge mask; with `churn=none` every hot loop takes
-//!   exactly its pre-churn path. Per round the control thread runs
-//!   fault → churn → load injection before the flow pass, so a
-//!   departing node's handoff lands before new work arrives.
+//!   epoch-aligned departures/(re)arrivals and conservation-exact
+//!   handoff of a departing node's entire load to its active neighbors
+//!   (see the `churn` module). With `churn=none` every hot loop takes
+//!   exactly its pre-churn path.
+//!
+//! Crashes and churn meet in one membership model (the `membership`
+//! module): a node takes part in an epoch iff it is crash-live and
+//! churn-active, and an edge iff both endpoints take part. Once a crash
+//! channel or churn is on, every plan reads the epoch's membership —
+//! diffusion its edge mask, sweeps the family repaired against it, the
+//! random plan its matching intersected with it — and edge drops are
+//! taken out on top.
 //!
 //! A round has exactly one body, written once here:
 //!
-//! 1. [`SchemeKernel::prepare_round`] — control thread only: fault
-//!    epoch and shock, churn transition and handoff, load injection,
-//!    then the round's effective active-edge mask and stale words.
+//! 1. [`SchemeKernel::prepare_round`] — control thread only: at an
+//!    epoch boundary the crash draw, the churn transition and the
+//!    membership rebuild; every round the shock and load injection; the
+//!    load edits as `(node, delta)` pairs through one apply path; then
+//!    the round's effective active-edge mask and stale words.
 //! 2. [`SchemeKernel::run_phases`] — one participant's share of the
 //!    phase sequence (edge pass, rounding, apply pass), separated by a
 //!    phase sync. The worker pool runs it on every participant with
@@ -86,10 +85,11 @@ use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 use crate::churn::{ChurnSpec, ChurnState};
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
-use crate::fault::{EffBase, FaultSpec, FaultState};
+use crate::fault::{FaultSpec, FaultState};
 use crate::kernel::{self, BufF64, BufI64, FwScratch, KernelTables, LoadStats};
-use crate::load::{LoadSpec, LoadState};
+use crate::load::{LoadSpec, LoadState, LoadView};
 use crate::matchgen::{self, mask_words, MatchScratch};
+use crate::membership::Membership;
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
 
@@ -136,24 +136,30 @@ pub(crate) enum ActivePlan {
 }
 
 /// Everything a simulation's control thread needs between rounds: the
-/// framework rounding scratch, the matching-generation scratch, and the
-/// fault, load and churn state.
+/// framework rounding scratch, the matching-generation scratch, the
+/// fault, load and churn state, the epoch's membership, and the round's
+/// pending load deltas.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
     /// Participant-0 scratch of the randomized framework's rounding phase.
     pub fw: FwScratch,
     /// Random-matching generation scratch.
     pub matchgen: MatchScratch,
-    /// Fault-injection state: live sets, repaired sweep masks, per-round
-    /// drop/stale masks, and the accumulated event counters.
+    /// Fault-injection state: per-round drop/stale masks and the
+    /// accumulated event counters.
     pub fault: FaultState,
-    /// Dynamic-workload state: the round's planned injection deltas and
-    /// the accumulated event counters / injected-total account.
+    /// Dynamic-workload state: the accumulated event counters and the
+    /// injected-total account.
     pub load: LoadState,
-    /// Topology-churn state: the active-node overlay, its induced
-    /// active-edge mask, the per-epoch repaired sweep families, the
-    /// epoch's handoff deltas, and the accumulated event counters.
+    /// Topology-churn state: the active-node overlay and the accumulated
+    /// event counters.
     pub churn: ChurnState,
+    /// The epoch's membership: the crash-live words, the participating
+    /// nodes and edges, and the repaired sweep family.
+    pub membership: Membership,
+    /// The load edits one planner emitted as `(node, delta)` pairs,
+    /// applied and emptied before the next planner runs.
+    pub deltas: Vec<(usize, f64)>,
 }
 
 impl RoundScratch {
@@ -383,93 +389,115 @@ impl SchemeKernel {
     }
 
     /// The sweep family and its repair style, if the plan is a sweep.
-    /// Crate-visible so checkpoint restore can re-materialize the fault
-    /// epoch the snapshot was taken in.
-    pub(crate) fn sweep_family(&self) -> Option<(&[Vec<u64>], bool)> {
+    fn sweep_family(&self) -> Option<(&[Vec<u64>], bool)> {
         match &self.plan {
             ActivePlan::Sweep { masks, recover } => Some((masks, *recover)),
             _ => None,
         }
     }
 
-    /// The sweep family the *fault* state should repair at crash epochs:
-    /// `None` while churn is active, because [`ChurnState`] then rebuilds
-    /// the family each epoch against the combined churn-active ×
-    /// crash-live node set, superseding the crash-only repair.
-    pub(crate) fn fault_sweep_family(&self) -> Option<(&[Vec<u64>], bool)> {
-        if !self.churn.is_none() {
-            None
-        } else {
-            self.sweep_family()
+    /// Whether rounds read the epoch's [`Membership`]: a crash channel or
+    /// the churn axis is on.
+    fn has_membership(&self) -> bool {
+        self.faults.crash.is_some() || !self.churn.is_none()
+    }
+
+    /// Rebuilds the epoch's membership from the current crash words and
+    /// churn overlay.
+    fn rebuild_membership(&self, graph: &Graph, churn: &ChurnState, members: &mut Membership) {
+        let active = (!self.churn.is_none()).then(|| churn.active_words());
+        members.rebuild(
+            graph,
+            self.faults.crash.is_some(),
+            active,
+            self.sweep_family(),
+        );
+    }
+
+    /// Re-enters `round`'s epoch after a checkpoint restore into a fresh
+    /// `scratch`: the crash words are a pure per-epoch draw, so they are
+    /// redrawn; the churn overlay is history-dependent, so the persisted
+    /// words `active` are installed verbatim, never redrawn; the
+    /// membership is rebuilt once from both. `round` is the last
+    /// processed round, so the next round opens a new epoch exactly when
+    /// an uninterrupted run would. The crash draw counts its events
+    /// afresh; the caller then installs the snapshot's counters.
+    pub(crate) fn restore_epoch(
+        &self,
+        graph: &Graph,
+        round: u64,
+        scratch: &mut RoundScratch,
+        active: &[u64],
+    ) {
+        let RoundScratch {
+            fault,
+            churn,
+            membership,
+            ..
+        } = scratch;
+        if !self.has_membership() {
+            return;
         }
+        membership.advance(round);
+        if self.faults.crash.is_some() {
+            fault.draw_crash(&self.faults, round, graph.node_count(), membership);
+        }
+        if !self.churn.is_none() {
+            churn.restore(graph.node_count(), active.to_vec());
+        }
+        self.rebuild_membership(graph, churn, membership);
     }
 
     /// The round's *effective* active mask (`None` = every edge active)
     /// with the round's stale words: the plan's mask (generating the
-    /// random matching into `mg` when the plan draws one), intersected
-    /// with the churn-active edge set when a flux channel is on and with
-    /// the live/undropped edge set when edge faults are on (counting drop
-    /// and stale events). Control-thread only; [`FaultState::begin_round`]
-    /// and [`ChurnState::begin_round`] must already have run this round.
-    /// With churn active, sweep plans use the churn state's repaired
-    /// families (rebuilt each epoch against the combined churn-active ×
-    /// crash-live node set), which supersede the fault state's crash-only
-    /// repairs.
+    /// random matching into `mg` when the plan draws one) read through
+    /// the epoch's membership when one is kept, then minus the round's
+    /// dropped edges (counting drop and stale events). Control-thread
+    /// only; the membership and the fault state's round masks must
+    /// already be current.
     fn round_mask<'a>(
         &'a self,
         round: u64,
         t: &KernelTables,
         mg: &'a mut MatchScratch,
         fault: &'a mut FaultState,
-        churn: &'a mut ChurnState,
+        members: &'a Membership,
     ) -> (Option<&'a [u64]>, Option<&'a [u64]>) {
-        let churned = !self.churn.is_none();
-        let staled = self.faults.stale.is_some();
-        let mut sweep_idx = None;
+        let member = self.has_membership();
         let mask = match &self.plan {
-            ActivePlan::All => churned.then(|| churn.active_edge_words()),
+            ActivePlan::All => member.then(|| members.edges()),
             ActivePlan::Sweep { masks, .. } => {
                 let idx = (round % masks.len() as u64) as usize;
-                sweep_idx = Some(idx);
-                Some(if churned {
-                    churn.repaired_mask(idx)
+                Some(if member {
+                    members.repaired(idx)
                 } else {
                     &masks[idx][..]
                 })
             }
             ActivePlan::Random { seed } => {
                 matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                Some(if churned {
-                    churn.compose(&mg.mask, t.m)
-                } else {
-                    &mg.mask[..]
-                })
+                if member {
+                    for (word, &edges) in mg.mask.iter_mut().zip(members.edges()) {
+                        *word &= edges;
+                    }
+                }
+                Some(&mg.mask[..])
             }
         };
-        if self.faults.has_edge_faults() {
-            let base = match (sweep_idx, mask) {
-                (Some(idx), _) if !churned && self.faults.crash.is_some() => EffBase::Repaired(idx),
-                (_, Some(words)) => EffBase::External(words),
-                (_, None) => EffBase::All,
-            };
-            let (mask, stale) = fault.compose_eff(&self.faults, t.m, base);
-            return (Some(mask), staled.then_some(stale));
-        }
-        if staled {
-            fault.count_stale(mask, t.m);
-        }
-        (mask, staled.then_some(&fault.stale[..]))
+        fault.compose_eff(&self.faults, t.m, mask)
     }
 
     /// The control-thread half of a round, run before any participant
     /// starts it (on the pool: before the round's first barrier, with
-    /// the workers parked): advances the fault state (epoch crashes,
-    /// drop/stale draws, the load shock), the churn state (transitions
-    /// and handoff deltas, after the fault epoch so repairs see the
-    /// current crash-live set) and the load plan (deltas land before the
-    /// flow pass), then builds the round's effective mask. `loads_i` /
-    /// `loads_f` are the simulation's loads; the one the mode does not
-    /// use is empty.
+    /// the workers parked). At an epoch boundary it draws the crash
+    /// words, runs the churn transition and rebuilds the membership from
+    /// both; every round it draws the drop/stale masks, the shock and the
+    /// load injection, then builds the round's effective mask. Each load
+    /// planner's `(node, delta)` edits are applied before the next
+    /// planner runs, in the order shock → churn handoff and arrivals →
+    /// injection, so every planner peeks at the loads its predecessors
+    /// left. `loads_i` / `loads_f` are the simulation's loads; the one
+    /// the mode does not use is empty.
     pub fn prepare_round<'s, LI: BufI64, LF: BufF64>(
         &'s self,
         t: &KernelTables,
@@ -485,51 +513,45 @@ impl SchemeKernel {
             fault,
             load,
             churn,
+            membership,
+            deltas,
         } = scratch;
-        let discrete = !matches!(self.flow, FlowPass::Continuous);
-        if !self.faults.is_none() {
-            fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
-            if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, t.n) {
-                if discrete {
-                    let amt = loads_i.get(donor) / 4;
-                    if amt != 0 {
-                        loads_i.set(donor, loads_i.get(donor) - amt);
-                        loads_i.set(hotspot, loads_i.get(hotspot) + amt);
-                        fault.events.shocks += 1;
-                    }
-                } else {
-                    let amt = loads_f.get(donor) / 4.0;
-                    if amt != 0.0 {
-                        loads_f.set(donor, loads_f.get(donor) - amt);
-                        loads_f.set(hotspot, loads_f.get(hotspot) + amt);
-                        fault.events.shocks += 1;
-                    }
-                }
-            }
+        let loads = LoadView {
+            discrete: !matches!(self.flow, FlowPass::Continuous),
+            ints: loads_i,
+            floats: loads_f,
+        };
+        let peek = |i| loads.get(i);
+        let boundary = self.has_membership() && membership.advance(round);
+        if boundary && self.faults.crash.is_some() {
+            fault.draw_crash(&self.faults, round, t.n, membership);
         }
-        if !self.churn.is_none() {
-            let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
-            let sweep = self.sweep_family();
-            if discrete {
-                let x = |i| loads_i.get(i) as f64;
-                churn.begin_round(&self.churn, graph, round, true, fault_live, sweep, x);
-                churn.apply_i64(loads_i);
-            } else {
-                let x = |i| loads_f.get(i);
-                churn.begin_round(&self.churn, graph, round, false, fault_live, sweep, x);
-                churn.apply_f64(loads_f);
+        if !self.faults.is_none() {
+            fault.begin_round(&self.faults, round, t.m);
+            let crash = &membership.crash;
+            fault.plan_shock(
+                &self.faults,
+                round,
+                t.n,
+                crash,
+                loads.discrete,
+                peek,
+                deltas,
+            );
+            loads.apply(deltas);
+        }
+        if boundary {
+            if !self.churn.is_none() {
+                churn.transition(&self.churn, graph, round, loads.discrete, peek, deltas);
+                loads.apply(deltas);
             }
+            self.rebuild_membership(graph, churn, membership);
         }
         if !self.loads.is_none() {
-            if discrete {
-                load.plan_round(&self.loads, round, t.n, true, |i| loads_i.get(i) as f64);
-                load.apply_i64(loads_i);
-            } else {
-                load.plan_round(&self.loads, round, t.n, false, |i| loads_f.get(i));
-                load.apply_f64(loads_f);
-            }
+            load.plan_round(&self.loads, round, t.n, loads.discrete, peek, deltas);
+            loads.apply(deltas);
         }
-        let (mask, stale) = self.round_mask(round, t, matchgen, fault, churn);
+        let (mask, stale) = self.round_mask(round, t, matchgen, fault, membership);
         PreparedRound { mask, stale, fw }
     }
 

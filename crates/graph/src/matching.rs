@@ -332,7 +332,7 @@ pub fn mask_dead_edges(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
 /// history-dependent (an extension chosen under an old live set can
 /// survive into the new one), so callers tracking churn epochs must
 /// re-derive from the pristine base family each epoch — exactly what the
-/// fault and churn simulators do — which is also what lets checkpoint
+/// simulator's per-epoch membership does — which is also what lets checkpoint
 /// restore rematerialize repaired families from (base, current live set)
 /// without replaying churn history (see the equivalence proptest below).
 pub fn repair_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {

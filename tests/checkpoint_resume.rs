@@ -147,6 +147,29 @@ const GOLDEN: &[Golden] = &[
         checksum: 0x98bbaa1b24facd58,
     },
     Golden {
+        // Sweep plan under crash + churn: `resume_at: 33` straddles the
+        // epoch, so the restore must rebuild the repaired color classes
+        // from the redrawn crash set and the persisted overlay.
+        name: "torus_de_crash_flux",
+        spec: "topology=torus2d:8:8 rounding=nearest scheme=de:1 init=point:0:6400 \
+               faults=crash:0.1:7 churn=flux:0.08:0.3:9:25",
+        rounds: 64,
+        resume_at: 33,
+        threads: &[1, 3],
+        checksum: 0xdd75e7249080a4aa,
+    },
+    Golden {
+        // Random plan under crash + churn: each round's matching is
+        // intersected with the rebuilt participating-edge mask.
+        name: "torus_matching_random_crash_flux",
+        spec: "topology=torus2d:8:8 rounding=nearest scheme=matching:random:7:1 \
+               init=point:0:6400 faults=crash:0.1:7 churn=flux:0.08:0.3:9:25",
+        rounds: 64,
+        resume_at: 33,
+        threads: &[1, 3],
+        checksum: 0x9af528871e5e250d,
+    },
+    Golden {
         name: "regular_matching_random",
         spec: "topology=random_regular:60:4:2 rounding=unbiased seed=13 \
                scheme=matching:random:7:1 speeds=ramp:5 init=point:0:60000",
@@ -262,8 +285,9 @@ fn scenario_ckpt_key_writes_resumable_checkpoints() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Restoring into a mismatched simulator (different topology, or a
-/// different initial total) is rejected with a typed error before any
+/// Restoring into a mismatched simulator (different topology, a
+/// different initial total, or a churn overlay that does not match the
+/// simulation's churn axis) is rejected with a typed error before any
 /// state is touched.
 #[test]
 fn restore_rejects_mismatched_simulators() {
@@ -292,4 +316,34 @@ fn restore_rejects_mismatched_simulators() {
         before,
         "failed restore must not mutate the target"
     );
+
+    // Same graph and initial load, churn on one side only: the overlay
+    // must be present exactly when the simulation churns (past round 0).
+    let churned: ScenarioSpec = "name=churned topology=torus2d:8:8 rounding=nearest seed=1 \
+                                 init=point:0:6400 churn=flux:0.08:0.3:9:25 stop=rounds:40"
+        .parse()
+        .unwrap();
+    let churned_exp = churned.experiment_on(&graph).unwrap();
+    let mut churned_sim = churned_exp.simulator();
+    churned_sim.run_until(StopCondition::MaxRounds(10));
+    let churned_snap = churned_sim.snapshot();
+    for (target, snap, why) in [
+        (
+            &experiment,
+            &churned_snap,
+            "overlay into a churn-free simulation",
+        ),
+        (&churned_exp, &snap, "no overlay into a churned simulation"),
+    ] {
+        let mut sim = target.simulator();
+        let before = state_checksum(&sim);
+        let err = sim.restore(snap).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "{why}: {err}");
+        assert!(err.to_string().contains("churn"), "{why}: {err}");
+        assert_eq!(state_checksum(&sim), before, "{why}: target mutated");
+    }
+    // A round-0 snapshot of a churned run carries no overlay yet and
+    // restores cleanly.
+    let fresh = churned_exp.simulator().snapshot();
+    churned_exp.simulator().restore(&fresh).unwrap();
 }

@@ -444,3 +444,268 @@ fn cycle_matching_round_robin_unbiased_edge() {
         run_and_check("cycle_matching_rr_unbiased", 0x256dc64b9b42941c, sim, 45);
     }
 }
+
+// ---------------------------------------------------------------------
+// Membership and load-delta paths: crash-repaired sweep families, crash
+// composed with churn under sweep and random plans, and every
+// control-thread load edit (shock, handoff, arrival, injection) in one
+// run. Captured while crash and churn still kept separate node masks
+// and each load edit had its own apply path, before both were merged;
+// each run also pins its final event counters, since the counting sites
+// moved with them.
+// ---------------------------------------------------------------------
+
+/// The final fault, churn and load event counters of a run.
+type Events = (FaultEvents, ChurnEvents, LoadEvents);
+
+fn run_and_check_events(
+    name: &str,
+    expected: u64,
+    events: Events,
+    mut sim: Simulator<'_>,
+    rounds: usize,
+    checksum: fn(&Simulator<'_>) -> u64,
+) {
+    for _ in 0..rounds {
+        sim.step();
+    }
+    let got = checksum(&sim);
+    assert_eq!(
+        got, expected,
+        "{name}: golden trace diverged from the pinned implementation ({got:#x})"
+    );
+    let seen = (sim.fault_events(), sim.churn_events(), sim.load_events());
+    assert_eq!(seen, events, "{name}: event counters diverged");
+}
+
+/// The flux plan shared by the churned membership runs below.
+fn flux() -> ChurnSpec {
+    ChurnSpec::none().with_flux(0.08, 0.3, 9).with_initial(25.0)
+}
+
+#[test]
+fn torus_dimension_exchange_crash() {
+    // Crash only: the sweep family is repaired against the crash-live set.
+    let g = generators::torus2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .discrete(Rounding::nearest())
+            .scheme(Scheme::dimension_exchange(1.0))
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(FaultSpec::none().with_crash(0.1, 7))
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_events(
+            "torus_de_crash",
+            0x82cac6d83842aac3,
+            (
+                FaultEvents {
+                    crashes: 23,
+                    rejoins: 13,
+                    edges_dropped: 0,
+                    shocks: 0,
+                    stale_edges: 0,
+                },
+                ChurnEvents::default(),
+                LoadEvents::default(),
+            ),
+            sim,
+            64,
+            state_checksum,
+        );
+    }
+}
+
+#[test]
+fn torus_dimension_exchange_crash_flux() {
+    let g = generators::torus2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .discrete(Rounding::nearest())
+            .scheme(Scheme::dimension_exchange(1.0))
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(FaultSpec::none().with_crash(0.1, 7))
+            .churn(flux())
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_events(
+            "torus_de_crash_flux",
+            0xdd75e7249080a4aa,
+            (
+                FaultEvents {
+                    crashes: 23,
+                    rejoins: 13,
+                    edges_dropped: 0,
+                    shocks: 0,
+                    stale_edges: 0,
+                },
+                ChurnEvents {
+                    departures: 26,
+                    arrivals: 8,
+                    handoffs: 20,
+                    joined: 200.0,
+                    departed: 0.0,
+                },
+                LoadEvents::default(),
+            ),
+            sim,
+            64,
+            state_checksum,
+        );
+    }
+}
+
+#[test]
+fn torus_matching_random_crash_flux() {
+    let g = generators::torus2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .discrete(Rounding::nearest())
+            .scheme(Scheme::matching_random(7, 1.0))
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(FaultSpec::none().with_crash(0.1, 7))
+            .churn(flux())
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_events(
+            "torus_matching_random_crash_flux",
+            0x9af528871e5e250d,
+            (
+                FaultEvents {
+                    crashes: 23,
+                    rejoins: 13,
+                    edges_dropped: 0,
+                    shocks: 0,
+                    stale_edges: 0,
+                },
+                ChurnEvents {
+                    departures: 26,
+                    arrivals: 8,
+                    handoffs: 17,
+                    joined: 200.0,
+                    departed: 0.0,
+                },
+                LoadEvents::default(),
+            ),
+            sim,
+            64,
+            state_checksum,
+        );
+    }
+}
+
+/// Every membership source and every control-thread load edit at once.
+fn all_axes() -> (FaultSpec, ChurnSpec, LoadSpec) {
+    (
+        FaultSpec::none()
+            .with_crash(0.1, 7)
+            .with_edgedrop(0.05, 9)
+            .with_shock(0.2, 3),
+        flux(),
+        LoadSpec::none().with_poisson(0.5, 7),
+    )
+}
+
+#[test]
+fn torus_sos_all_axes() {
+    let g = generators::torus2d(8, 8);
+    let (faults, churn, load) = all_axes();
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .discrete(Rounding::nearest())
+            .sos(1.7)
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(faults)
+            .churn(churn)
+            .load(load)
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_events(
+            "torus_sos_all_axes",
+            0x08e86d51e04467cd,
+            (
+                FaultEvents {
+                    crashes: 23,
+                    rejoins: 13,
+                    edges_dropped: 233,
+                    shocks: 10,
+                    stale_edges: 0,
+                },
+                ChurnEvents {
+                    departures: 26,
+                    arrivals: 8,
+                    handoffs: 20,
+                    joined: 200.0,
+                    departed: 0.0,
+                },
+                LoadEvents {
+                    arrivals: 33,
+                    departures: 34,
+                    injected: -1.0,
+                },
+            ),
+            sim,
+            64,
+            state_checksum,
+        );
+    }
+}
+
+#[test]
+fn torus_sos_all_axes_continuous() {
+    // The continuous twin, plus stale losses counted over the
+    // membership-composed mask: shocks, handoffs and injection land as
+    // f64 deltas.
+    let g = generators::torus2d(8, 8);
+    let (faults, churn, load) = all_axes();
+    let faults = faults.with_stale(0.02, 5);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .continuous()
+            .sos(1.7)
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .faults(faults)
+            .churn(churn)
+            .load(load)
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check_events(
+            "torus_sos_all_axes_continuous",
+            0x0195aa1e00ba8c90,
+            (
+                FaultEvents {
+                    crashes: 23,
+                    rejoins: 13,
+                    edges_dropped: 233,
+                    shocks: 11,
+                    stale_edges: 80,
+                },
+                ChurnEvents {
+                    departures: 26,
+                    arrivals: 8,
+                    handoffs: 20,
+                    joined: 200.0,
+                    departed: 0.0,
+                },
+                LoadEvents {
+                    arrivals: 33,
+                    departures: 34,
+                    injected: -1.0,
+                },
+            ),
+            sim,
+            64,
+            continuous_checksum,
+        );
+    }
+}
