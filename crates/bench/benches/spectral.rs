@@ -1,10 +1,9 @@
 //! Criterion: spectral-solver costs — analytic closed forms vs dense
-//! Jacobi vs shifted power iteration.
+//! Jacobi vs Lanczos.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use sodiff_graph::{generators, Speeds};
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn bench_spectral(c: &mut Criterion) {
@@ -22,19 +21,14 @@ fn bench_spectral(c: &mut Criterion) {
 
     let medium = generators::torus2d(64, 64);
     let medium_speeds = Speeds::uniform(64 * 64);
-    let opts = PowerOptions {
-        max_iterations: 2_000,
-        tolerance: 1e-8,
-        seed: 1,
-    };
     group.sample_size(10);
-    group.bench_function("power_torus64", |b| {
-        b.iter(|| spectral::power_spectrum(&medium, &medium_speeds, opts))
+    group.bench_function("lanczos_torus64", |b| {
+        b.iter(|| spectral::lanczos_spectrum(&medium, &medium_speeds))
     });
 
     let hetero = Speeds::linear_ramp(64 * 64, 8.0);
-    group.bench_function("power_torus64_hetero", |b| {
-        b.iter(|| spectral::power_spectrum(&medium, &hetero, opts))
+    group.bench_function("lanczos_torus64_hetero", |b| {
+        b.iter(|| spectral::lanczos_spectrum(&medium, &hetero))
     });
 
     group.finish();

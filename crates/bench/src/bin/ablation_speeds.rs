@@ -6,7 +6,6 @@
 use sodiff_bench::ExpOpts;
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn main() {
@@ -33,15 +32,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, speeds) in profiles {
-        let spec = spectral::power_spectrum(
-            &graph,
-            &speeds,
-            PowerOptions {
-                max_iterations: 50_000,
-                tolerance: 1e-12,
-                seed: opts.seed,
-            },
-        );
+        let spec = spectral::lanczos_spectrum(&graph, &speeds);
         let beta = spec.beta_opt();
         let total = 500 * speeds.total() as i64;
         let mut sim = Experiment::on(&graph)

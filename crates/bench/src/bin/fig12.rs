@@ -6,7 +6,6 @@
 use sodiff_bench::{save_recorder, ExpOpts};
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn main() {
@@ -14,15 +13,7 @@ fn main() {
     let n: usize = opts.scale(100_000, 1_000_000);
     let rounds = 100u64;
     let graph = generators::random_graph_cm(n, opts.seed).expect("CM parameters");
-    let spec = spectral::power_spectrum(
-        &graph,
-        &Speeds::uniform(n),
-        PowerOptions {
-            max_iterations: 2_000,
-            tolerance: 1e-9,
-            seed: opts.seed,
-        },
-    );
+    let spec = spectral::lanczos_spectrum(&graph, &Speeds::uniform(n));
     let beta = spec.beta_opt();
     println!(
         "Figure 12: CM random graph n = {n}, d = {}, lambda = {:.6}, beta = {:.6}",

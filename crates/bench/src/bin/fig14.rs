@@ -6,7 +6,6 @@
 use sodiff_bench::{save_recorder, ExpOpts};
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn main() {
@@ -14,15 +13,7 @@ fn main() {
     let n: usize = opts.scale(2_500, 10_000);
     let rounds = 1000u64;
     let graph = generators::rgg_paper(n, opts.seed);
-    let spec = spectral::power_spectrum(
-        &graph,
-        &Speeds::uniform(n),
-        PowerOptions {
-            max_iterations: 20_000,
-            tolerance: 1e-10,
-            seed: opts.seed,
-        },
-    );
+    let spec = spectral::lanczos_spectrum(&graph, &Speeds::uniform(n));
     let beta = spec.beta_opt();
     println!(
         "Figure 14: RGG n = {n}, max degree {}, lambda = {:.6}, beta = {:.6}",

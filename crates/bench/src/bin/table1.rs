@@ -3,11 +3,10 @@
 //! Analytic spectra (tori, hypercube) are evaluated at the exact paper
 //! sizes regardless of `--full`; the two random graph classes default to
 //! scaled sizes (the paper's 10⁶-node configuration-model graph needs
-//! `--full` and some patience for the power iteration).
+//! `--full`).
 
 use sodiff_bench::{write_table, ExpOpts};
 use sodiff_graph::{generators, Speeds};
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn main() {
@@ -58,18 +57,10 @@ fn main() {
         Some(1.4026054847),
     );
 
-    // Random graph (CM), d = floor(log2 n): power iteration.
+    // Random graph (CM), d = floor(log2 n): Lanczos.
     let n_cm = opts.scale(16_384, 1_000_000);
     let g = generators::random_graph_cm(n_cm, opts.seed).expect("valid CM parameters");
-    let s = spectral::power_spectrum(
-        &g,
-        &Speeds::uniform(n_cm),
-        PowerOptions {
-            max_iterations: 5_000,
-            tolerance: 1e-10,
-            seed: opts.seed,
-        },
-    );
+    let s = spectral::lanczos_spectrum(&g, &Speeds::uniform(n_cm));
     let paper = if opts.full { Some(1.0651965147) } else { None };
     emit(
         &format!("random graph (CM) d={}", g.max_degree()),
@@ -82,15 +73,7 @@ fn main() {
     // Random geometric graph, r = 4 (log n)^(1/4).
     let n_rgg = opts.scale(2_000, 10_000);
     let g = generators::rgg_paper(n_rgg, opts.seed);
-    let s = spectral::power_spectrum(
-        &g,
-        &Speeds::uniform(n_rgg),
-        PowerOptions {
-            max_iterations: 5_000,
-            tolerance: 1e-10,
-            seed: opts.seed,
-        },
-    );
+    let s = spectral::lanczos_spectrum(&g, &Speeds::uniform(n_rgg));
     let paper = if opts.full { Some(1.9554636334) } else { None };
     emit(
         "random geometric graph",

@@ -74,6 +74,10 @@ pub enum BuildError {
     /// the spectral gap, which a disconnected graph does not have);
     /// carries the component count.
     Disconnected(String),
+    /// The scheme needs a graph of at least two nodes (`sos_opt` derives
+    /// `β` from the second eigenvalue, which a one-node graph does not
+    /// have); carries the node count.
+    TooFewNodes(usize),
     /// The SOS→FOS hybrid switch only applies to diffusion schemes;
     /// carries the offending scheme's display form.
     HybridRequiresDiffusion(String),
@@ -145,6 +149,11 @@ impl fmt::Display for BuildError {
                 write!(f, "matching-based balancing needs a matching: {msg}")
             }
             BuildError::Disconnected(msg) => write!(f, "the graph is not connected: {msg}"),
+            BuildError::TooFewNodes(n) => write!(
+                f,
+                "sos_opt needs the spectral gap of a graph with at least two nodes, \
+                 this one has {n}"
+            ),
             BuildError::HybridRequiresDiffusion(scheme) => write!(
                 f,
                 "the SOS→FOS hybrid switch requires a diffusion scheme (FOS/SOS), got {scheme}"

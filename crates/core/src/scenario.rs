@@ -220,14 +220,18 @@ impl SchemeSpec {
     /// Returns [`BuildError::InvalidBeta`] for explicit `β` outside
     /// `(0, 2)` or when `sos_opt` is requested on a graph whose `λ` is
     /// not in `[0, 1)` (degenerate networks),
-    /// [`BuildError::Disconnected`] when `sos_opt` is requested on a
-    /// disconnected graph, and [`BuildError::InvalidLambda`] for a
+    /// [`BuildError::TooFewNodes`] or [`BuildError::Disconnected`] when
+    /// `sos_opt` is requested on a graph of fewer than two nodes or a
+    /// disconnected one, and [`BuildError::InvalidLambda`] for a
     /// pairwise exchange gain outside `(0, 1]`.
     pub fn resolve(&self, graph: &Graph, speeds: &Speeds) -> Result<Scheme, BuildError> {
         let scheme = match *self {
             SchemeSpec::Fos => Scheme::Fos,
             SchemeSpec::Sos { beta } => Scheme::try_sos(beta)?,
             SchemeSpec::SosOpt => {
+                if graph.node_count() < 2 {
+                    return Err(BuildError::TooFewNodes(graph.node_count()));
+                }
                 let parts = sodiff_graph::traversal::connected_components(graph);
                 if parts > 1 {
                     return Err(BuildError::Disconnected(format!(

@@ -7,14 +7,13 @@
 //! * [`jacobi`] — a cyclic Jacobi eigensolver for symmetric matrices
 //!   (exact eigendecomposition for the small instances used in
 //!   coefficient-tracking experiments),
-//! * [`power`] — power iteration with deflation for the dominant and
-//!   second eigenvalues of large sparse symmetric operators,
 //! * [`diffusion`] — the diffusion operator `M = I − L·S⁻¹` of a
 //!   (heterogeneous) network, applied matrix-free in `O(|E|)`,
 //! * [`spectral`] — computation of the second-largest eigenvalue magnitude
 //!   `λ` (and thus `β_opt = 2/(1+√(1−λ²))`), dispatching to analytic
-//!   formulas for tori/hypercubes/cycles/complete graphs and to the
-//!   numerical solvers otherwise,
+//!   formulas for tori/hypercubes/cycles/complete graphs, to dense Jacobi
+//!   for small graphs, and otherwise to a matrix-free Lanczos solver that
+//!   reads `λ₂` and `λ_min` off one deflated Krylov run,
 //! * [`fourier`] — the analytic Fourier eigenbasis of 2D tori used to
 //!   track per-eigenvector load coefficients (paper Figures 7 and 15)
 //!   without a dense `V·a = x` solve.
@@ -26,6 +25,5 @@ pub mod dense;
 pub mod diffusion;
 pub mod fourier;
 pub mod jacobi;
-pub mod power;
 pub mod spectral;
 pub mod vector;

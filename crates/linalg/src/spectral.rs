@@ -6,17 +6,21 @@
 //!
 //! 1. analytic closed forms for generated tori, hypercubes, cycles, and
 //!    complete graphs in the normalized homogeneous model (`s ≡ 1`),
-//! 2. dense Jacobi eigendecomposition for small graphs,
-//! 3. shifted power iteration with deflation on the symmetrized operator
-//!    `B = S^{-1/2}·M·S^{1/2}` otherwise.
+//! 2. dense Jacobi eigendecomposition for graphs of at most
+//!    [`DENSE_LIMIT`] nodes,
+//! 3. otherwise one matrix-free Lanczos run on the symmetrized operator
+//!    `B = S^{-1/2}·M·S^{1/2}` with the principal direction `√s` deflated:
+//!    its largest Ritz value is `λ₂`, its smallest `λ_min`.
 
 use std::f64::consts::PI;
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use sodiff_graph::{Graph, GraphKind, Speeds};
 
 use crate::diffusion::DiffusionOperator;
 use crate::jacobi;
-use crate::power::{dominant_eigenvalue, PowerOptions};
+use crate::vector::{axpy, dot, normalize, orthogonalize_against};
 
 /// Above this node count the dense Jacobi path is skipped.
 pub const DENSE_LIMIT: usize = 600;
@@ -35,8 +39,8 @@ pub enum SpectralMethod {
     AnalyticComplete,
     /// Dense Jacobi eigendecomposition of `B`.
     DenseJacobi,
-    /// Shifted power iteration with deflation on `B`.
-    PowerIteration,
+    /// Lanczos iteration with deflation on `B`.
+    Lanczos,
 }
 
 /// Spectral summary of a diffusion matrix.
@@ -115,7 +119,7 @@ pub fn analyze(graph: &Graph, speeds: &Speeds) -> Spectrum {
     if graph.node_count() <= DENSE_LIMIT {
         dense_spectrum(graph, speeds)
     } else {
-        power_spectrum(graph, speeds, PowerOptions::default())
+        lanczos_spectrum(graph, speeds)
     }
 }
 
@@ -197,53 +201,146 @@ pub fn dense_spectrum(graph: &Graph, speeds: &Speeds) -> Spectrum {
     }
 }
 
-/// Power-iteration spectrum of a large network.
+/// Lanczos iteration cap. Extreme Ritz values converge in about
+/// `1/√gap` steps: 150–270 on 4096-node random graphs and grids, 700 on
+/// a 200×200 grid (gap 5e-5), 1800 on an 1800-node path (gap 1e-6).
+const LANCZOS_MAX_STEPS: usize = 10_000;
+/// Steps between two looks at the tridiagonal's extreme eigenvalues.
+const LANCZOS_CHECK_EVERY: usize = 10;
+/// Both extreme Ritz values have settled once neither moved by more than
+/// this over one check interval.
+const LANCZOS_SETTLED: f64 = 1e-13;
+/// A residual norm `β_{k+1}` at or below this means the Krylov space is
+/// exhausted: it is invariant, and its Ritz values are eigenvalues.
+const LANCZOS_EXHAUSTED: f64 = 1e-12;
+
+/// Lanczos spectrum of a large network: `λ₂` and `λ_min` of
+/// `B = S^{-1/2}·M·S^{1/2}` from one Krylov run (see [`lanczos_extremes`])
+/// with the principal direction `√s/‖√s‖` deflated.
 ///
-/// Runs two shifted, deflated power iterations on
-/// `B = S^{-1/2}·M·S^{1/2}`: `(B + I)/2` for `λ₂` and `(I − B)/2` for
-/// `λ_min`; both shifted operators have non-negative spectra, so the plain
-/// Rayleigh quotient converges without oscillation.
-pub fn power_spectrum(graph: &Graph, speeds: &Speeds, opts: PowerOptions) -> Spectrum {
+/// # Panics
+///
+/// Panics if the graph has fewer than two nodes.
+pub fn lanczos_spectrum(graph: &Graph, speeds: &Speeds) -> Spectrum {
     let op = DiffusionOperator::new(graph, speeds);
-    let n = op.len();
     let principal = op.principal_symmetrized_eigenvector();
-
-    // (B + I)/2: eigenvalues (μ+1)/2 ∈ [0, 1], dominant deflated = (λ₂+1)/2.
-    let r2 = dominant_eigenvalue(
-        n,
-        |x, y| {
-            op.apply_symmetrized(x, y);
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi = 0.5 * (*yi + xi);
-            }
-        },
-        &[&principal],
-        opts,
-    );
-    let lambda_2 = 2.0 * r2.value - 1.0;
-
-    // (I − B)/2: eigenvalues (1−μ)/2 ≥ 0, dominant = (1−λ_min)/2. The
-    // principal direction maps to 0, so no deflation is needed, but it
-    // costs little and speeds convergence up.
-    let rm = dominant_eigenvalue(
-        n,
-        |x, y| {
-            op.apply_symmetrized(x, y);
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi = 0.5 * (xi - *yi);
-            }
-        },
-        &[&principal],
-        opts,
-    );
-    let lambda_min = 1.0 - 2.0 * rm.value;
-
+    let (lambda_min, lambda_2) =
+        lanczos_extremes(op.len(), |x, y| op.apply_symmetrized(x, y), &principal);
     Spectrum {
         lambda: lambda_2.abs().max(lambda_min.abs()),
         lambda_2,
         lambda_min,
-        method: SpectralMethod::PowerIteration,
+        method: SpectralMethod::Lanczos,
     }
+}
+
+/// The smallest and largest eigenvalue `(min, max)` of the symmetric
+/// operator `apply` (of norm about 1) restricted to the orthogonal
+/// complement of the unit vector `deflate`.
+///
+/// Plain three-term Lanczos recurrence (Golub & Van Loan, *Matrix
+/// Computations* §10.1) from a fixed-seed random start vector: only the
+/// last two Lanczos vectors and the tridiagonal `(α, β)` are kept, so the
+/// extra memory is `O(n + steps)`. Without full reorthogonalization,
+/// converged Ritz values reappear as ghost copies, but the extreme ones do
+/// not move (Paige). Every new vector is reorthogonalized against
+/// `deflate`; otherwise rounding lets that eigenvalue back in. The
+/// extremes of the tridiagonal are read by Sturm-count bisection every
+/// 10 steps; the run stops once both settled (moved by at most 1e-13),
+/// the Krylov space is exhausted, or after 10 000 steps. Ritz
+/// values lie inside the spectrum, so a run stopped early under-reports
+/// `max` and over-reports `min`.
+///
+/// # Panics
+///
+/// Panics if the orthogonal complement of `deflate` is empty (`n < 2`).
+pub fn lanczos_extremes<F>(n: usize, mut apply: F, deflate: &[f64]) -> (f64, f64)
+where
+    F: FnMut(&[f64], &mut [f64]),
+{
+    assert!(n >= 2, "Lanczos needs a non-trivial deflated space");
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut v: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+    orthogonalize_against(&mut v, deflate);
+    normalize(&mut v);
+    let mut prev = vec![0.0; n];
+    let mut w = vec![0.0; n];
+    let (mut alphas, mut betas) = (Vec::new(), Vec::<f64>::new());
+    let mut extremes = (f64::NAN, f64::NAN);
+    for step in 1..=LANCZOS_MAX_STEPS {
+        apply(&v, &mut w);
+        axpy(-betas.last().copied().unwrap_or(0.0), &prev, &mut w);
+        let alpha = dot(&w, &v);
+        axpy(-alpha, &v, &mut w);
+        orthogonalize_against(&mut w, deflate);
+        alphas.push(alpha);
+        let beta = normalize(&mut w);
+        let exhausted = beta <= LANCZOS_EXHAUSTED;
+        if exhausted || step % LANCZOS_CHECK_EVERY == 0 || step == LANCZOS_MAX_STEPS {
+            let now = tridiagonal_extremes(&alphas, &betas);
+            let settled = (now.0 - extremes.0).abs() <= LANCZOS_SETTLED
+                && (now.1 - extremes.1).abs() <= LANCZOS_SETTLED;
+            extremes = now;
+            if exhausted || settled {
+                break;
+            }
+        }
+        betas.push(beta);
+        std::mem::swap(&mut prev, &mut v);
+        std::mem::swap(&mut v, &mut w);
+    }
+    extremes
+}
+
+/// The smallest and largest eigenvalue `(min, max)` of the symmetric
+/// tridiagonal matrix with diagonal `a` and off-diagonal `b`
+/// (`b.len() + 1 == a.len()`), by Sturm-count bisection inside the
+/// Gershgorin interval.
+fn tridiagonal_extremes(a: &[f64], b: &[f64]) -> (f64, f64) {
+    let radius = |i: usize| {
+        let left = if i > 0 { b[i - 1].abs() } else { 0.0 };
+        left + b.get(i).map_or(0.0, |x| x.abs())
+    };
+    let lo = (0..a.len())
+        .map(|i| a[i] - radius(i))
+        .fold(f64::INFINITY, f64::min)
+        - 1.0;
+    let hi = (0..a.len())
+        .map(|i| a[i] + radius(i))
+        .fold(f64::NEG_INFINITY, f64::max)
+        + 1.0;
+    // Eigenvalues below `x`: the negative pivots of the LDLᵀ factors of
+    // `T − x·I` (a zero pivot is nudged below zero).
+    let below = |x: f64| {
+        let mut d = 1.0;
+        let mut count = 0;
+        for (i, &ai) in a.iter().enumerate() {
+            let coupling = if i > 0 { b[i - 1] * b[i - 1] / d } else { 0.0 };
+            d = ai - x - coupling;
+            if d == 0.0 {
+                d = -f64::MIN_POSITIVE;
+            }
+            if d < 0.0 {
+                count += 1;
+            }
+        }
+        count
+    };
+    // The `k`-th smallest eigenvalue lies in `(lo, hi]` while
+    // `below(lo) <= k < below(hi)`; 64 halvings reach full precision.
+    let kth = |k: usize| {
+        let (mut lo, mut hi) = (lo, hi);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if below(mid) > k {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    };
+    (kth(0), kth(a.len() - 1))
 }
 
 #[cfg(test)]
@@ -342,19 +439,48 @@ mod tests {
         assert!(d.lambda.abs() < 1e-10);
     }
 
-    #[test]
-    fn power_matches_dense_on_medium_graph() {
-        let g = generators::random_regular(120, 6, 1).unwrap();
-        let s = Speeds::uniform(120);
-        let d = dense_spectrum(&g, &s);
-        let p = power_spectrum(&g, &s, PowerOptions::default());
+    /// Asserts that Lanczos reproduces the dense spectrum to 1e-9.
+    fn assert_lanczos_matches_dense(g: &Graph, s: &Speeds) {
+        let d = dense_spectrum(g, s);
+        let l = lanczos_spectrum(g, s);
+        assert_eq!(l.method, SpectralMethod::Lanczos);
         assert!(
-            (d.lambda_2 - p.lambda_2).abs() < 1e-6,
-            "dense {} vs power {}",
+            (d.lambda_2 - l.lambda_2).abs() <= 1e-9,
+            "lambda_2: dense {} vs Lanczos {}",
             d.lambda_2,
-            p.lambda_2
+            l.lambda_2
         );
-        assert!((d.lambda_min - p.lambda_min).abs() < 1e-6);
+        assert!(
+            (d.lambda_min - l.lambda_min).abs() <= 1e-9,
+            "lambda_min: dense {} vs Lanczos {}",
+            d.lambda_min,
+            l.lambda_min
+        );
+    }
+
+    #[test]
+    fn lanczos_matches_dense_on_medium_graph() {
+        let g = generators::random_regular(120, 6, 1).unwrap();
+        assert_lanczos_matches_dense(&g, &Speeds::uniform(120));
+    }
+
+    /// A 24×24 grid: `λ₂` is doubly degenerate and the gap is small,
+    /// the hard case for an iterative solver.
+    #[test]
+    fn lanczos_matches_dense_on_grid_24() {
+        let g = generators::grid2d(24, 24);
+        assert_lanczos_matches_dense(&g, &Speeds::uniform(576));
+    }
+
+    /// On paths of two and three nodes the deflated Krylov space is
+    /// exhausted (`β_k = 0`) after one and two steps.
+    #[test]
+    fn lanczos_is_exact_on_tiny_graphs() {
+        for n in [2, 3] {
+            let g = generators::path(n);
+            assert_lanczos_matches_dense(&g, &Speeds::uniform(n));
+            assert_lanczos_matches_dense(&g, &Speeds::linear_ramp(n, 4.0));
+        }
     }
 
     #[test]
@@ -365,9 +491,19 @@ mod tests {
         assert_eq!(spec.method, SpectralMethod::DenseJacobi);
         assert!(spec.lambda < 1.0);
         assert!(spec.lambda > 0.0);
-        // Heterogeneous power iteration agrees.
-        let p = power_spectrum(&g, &s, PowerOptions::default());
-        assert!((spec.lambda_2 - p.lambda_2).abs() < 1e-6);
+        // Heterogeneous Lanczos agrees.
+        assert_lanczos_matches_dense(&g, &s);
+    }
+
+    /// The second-difference matrix tridiag(−1, 2, −1) of order `n` has
+    /// eigenvalues `2 − 2cos(jπ/(n+1))`, `j = 1..=n`.
+    #[test]
+    fn tridiagonal_extremes_of_second_difference() {
+        let n = 50;
+        let (lo, hi) = tridiagonal_extremes(&vec![2.0; n], &vec![-1.0; n - 1]);
+        let eig = |j: f64| 2.0 - 2.0 * (j * PI / (n as f64 + 1.0)).cos();
+        assert!((lo - eig(1.0)).abs() < 1e-14, "{lo}");
+        assert!((hi - eig(n as f64)).abs() < 1e-14, "{hi}");
     }
 
     #[test]

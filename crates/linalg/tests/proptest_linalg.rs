@@ -8,7 +8,7 @@ use sodiff_linalg::dense::DenseMatrix;
 use sodiff_linalg::diffusion::DiffusionOperator;
 use sodiff_linalg::fourier::TorusModes;
 use sodiff_linalg::jacobi::eigen_symmetric;
-use sodiff_linalg::power::{dominant_eigenvalue, PowerOptions};
+use sodiff_linalg::spectral::{dense_spectrum, lanczos_extremes, lanczos_spectrum};
 use sodiff_linalg::vector;
 
 fn random_symmetric(n: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -26,9 +26,10 @@ fn random_symmetric(n: usize) -> impl Strategy<Value = DenseMatrix> {
     })
 }
 
-/// Random connected graph (spanning tree + extras) with random speeds.
-fn network() -> impl Strategy<Value = (sodiff_graph::Graph, Speeds)> {
-    (2usize..=16, any::<u64>(), 1.0f64..8.0).prop_map(|(n, seed, smax)| {
+/// Random connected graph (spanning tree + extras) on 2 to `max_n` nodes
+/// with random speeds.
+fn network(max_n: usize) -> impl Strategy<Value = (sodiff_graph::Graph, Speeds)> {
+    (2usize..=max_n, any::<u64>(), 1.0f64..8.0).prop_map(|(n, seed, smax)| {
         let mut b = GraphBuilder::new(n);
         let mut state = seed | 1;
         let mut next = move || {
@@ -74,34 +75,20 @@ proptest! {
         }
     }
 
-    /// Power iteration with deflation agrees with Jacobi on the dominant
-    /// eigenvalue of shifted PSD matrices.
+    /// Deflated Lanczos agrees with Jacobi on the extremes of the
+    /// remaining spectrum of a random symmetric matrix.
     #[test]
-    fn power_matches_jacobi(a in random_symmetric(6)) {
-        // Shift to make the spectrum non-negative so plain power iteration
-        // converges: B = A + 8I (|entries| ≤ 1 ⇒ ‖A‖ ≤ 6 < 8).
+    fn lanczos_matches_jacobi(a in random_symmetric(6)) {
         let e = eigen_symmetric(&a);
-        let r = dominant_eigenvalue(
-            6,
-            |x, y| {
-                a.matvec(x, y);
-                for (yi, xi) in y.iter_mut().zip(x) {
-                    *yi += 8.0 * xi;
-                }
-            },
-            &[],
-            PowerOptions { max_iterations: 200_000, tolerance: 1e-14, seed: 7 },
-        );
-        prop_assert!(
-            (r.value - (e.values[0] + 8.0)).abs() < 1e-5,
-            "power {} vs jacobi {}", r.value, e.values[0] + 8.0
-        );
+        let (lo, hi) = lanczos_extremes(6, |x, y| a.matvec(x, y), &e.vector(0));
+        prop_assert!((hi - e.values[1]).abs() < 1e-9, "Lanczos {hi} vs jacobi {}", e.values[1]);
+        prop_assert!((lo - e.values[5]).abs() < 1e-9, "Lanczos {lo} vs jacobi {}", e.values[5]);
     }
 
     /// The diffusion matrix always conserves load (column sums 1) and has
     /// spectral radius ≤ 1 for any network and speeds.
     #[test]
-    fn diffusion_matrix_structure((g, speeds) in network()) {
+    fn diffusion_matrix_structure((g, speeds) in network(16)) {
         let n = g.node_count();
         let op = DiffusionOperator::new(&g, &speeds);
         let m = op.to_dense();
@@ -118,7 +105,7 @@ proptest! {
 
     /// Matrix-free apply matches the dense materialization.
     #[test]
-    fn apply_matches_dense((g, speeds) in network(), raw in vec(-50.0f64..50.0, 16)) {
+    fn apply_matches_dense((g, speeds) in network(16), raw in vec(-50.0f64..50.0, 16)) {
         let n = g.node_count();
         let x: Vec<f64> = raw.into_iter().take(n).chain(std::iter::repeat(0.0)).take(n).collect();
         let op = DiffusionOperator::new(&g, &speeds);
@@ -175,5 +162,25 @@ proptest! {
             vector::orthogonalize_against(&mut c, &unit);
             prop_assert!(vector::norm2(&c) < 1e-9);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Lanczos reproduces the dense `λ₂` and `λ_min` of random connected
+    /// heterogeneous networks on up to 200 nodes.
+    #[test]
+    fn lanczos_matches_dense_on_random_networks((g, speeds) in network(200)) {
+        let d = dense_spectrum(&g, &speeds);
+        let l = lanczos_spectrum(&g, &speeds);
+        prop_assert!(
+            (d.lambda_2 - l.lambda_2).abs() <= 1e-9,
+            "n = {}: lambda_2 dense {} vs Lanczos {}", g.node_count(), d.lambda_2, l.lambda_2
+        );
+        prop_assert!(
+            (d.lambda_min - l.lambda_min).abs() <= 1e-9,
+            "n = {}: lambda_min dense {} vs Lanczos {}", g.node_count(), d.lambda_min, l.lambda_min
+        );
     }
 }

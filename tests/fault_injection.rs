@@ -258,6 +258,35 @@ fn sos_opt_on_a_disconnected_graph_fails_typed_without_retries() {
     );
 }
 
+/// `sos_opt` on a one-node graph has no second eigenvalue: a typed build
+/// failure, attempted once, not a panic in the spectral analysis.
+#[test]
+fn sos_opt_on_a_one_node_graph_fails_typed_without_retries() {
+    for topology in ["grid2d:1:1", "complete:1", "hypercube:0"] {
+        let specs = ScenarioSpec::parse_many(&format!(
+            "name=single topology={topology} scheme=sos_opt stop=rounds:5"
+        ))
+        .unwrap();
+        let batch = Driver::new().retries(3).run_batch(&specs);
+        assert!(batch.scenarios.is_empty(), "{topology}");
+        assert_eq!(batch.errors.len(), 1, "{topology}");
+        let err = &batch.errors[0];
+        assert_eq!(
+            err.attempts, 1,
+            "{topology}: a build error must not be retried"
+        );
+        assert!(
+            matches!(
+                &err.error,
+                ScenarioFailure::Build(BuildError::Scenario { source, .. })
+                    if matches!(**source, BuildError::TooFewNodes(1))
+            ),
+            "{topology}: expected a typed TooFewNodes build error, got {:?}",
+            err.error
+        );
+    }
+}
+
 /// A run that completes with non-finite loads is reported as
 /// [`ScenarioFailure::Diverged`], not returned as a success.
 #[test]
